@@ -115,7 +115,7 @@ impl VisitDriver for InProcessDriver {
         if !self.world.contains(host) {
             // Same accounting as the server's 404: the rejection shows up
             // in cp_site_derive_total{result="unknown"}.
-            self.metrics.record_site_derive("unknown", None);
+            self.metrics.site_derive.inc("unknown");
             return DriveResult::UnknownHost;
         }
         let outcome = self.store.transact(
@@ -137,7 +137,9 @@ impl VisitDriver for InProcessDriver {
         match outcome {
             Ok(Some(out)) => {
                 if let Some(record) = &out.record {
-                    self.metrics.record_verdict(record.decision.cookies_caused_difference);
+                    let verdict =
+                        if record.decision.cookies_caused_difference { "useful" } else { "noise" };
+                    self.metrics.decisions.inc(verdict);
                 }
                 DriveResult::Visited(CrawlVisit {
                     marked_now: out.marked_now,
@@ -154,7 +156,7 @@ impl VisitDriver for InProcessDriver {
 
     fn expire(&self, host: &str, cookies: &[String]) -> ExpireResult {
         if !self.world.contains(host) {
-            self.metrics.record_site_derive("unknown", None);
+            self.metrics.site_derive.inc("unknown");
             return ExpireResult::UnknownHost;
         }
         let result = self.store.transact(

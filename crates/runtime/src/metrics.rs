@@ -78,15 +78,6 @@ impl Gauge {
     }
 }
 
-/// Default histogram bucket upper bounds, in microseconds.
-///
-/// Log-spaced from 100 µs to 10 s — wide enough for an in-process decision
-/// (tens of µs) and a cross-network request (ms to s) on one scale.
-pub const LATENCY_BUCKETS_MICROS: [u64; 14] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
-    2_500_000, 10_000_000,
-];
-
 /// A fixed-bucket histogram of microsecond observations.
 ///
 /// Buckets store per-bucket (non-cumulative) counts; [`Histogram::snapshot`]
@@ -100,19 +91,9 @@ pub struct Histogram {
     count: AtomicU64,
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
 impl Histogram {
-    /// Creates a histogram with [`LATENCY_BUCKETS_MICROS`] bounds.
-    pub fn new() -> Self {
-        Histogram::with_bounds(&LATENCY_BUCKETS_MICROS)
-    }
-
-    /// Creates a histogram with custom static bounds (must be ascending).
+    /// Creates a histogram with static bucket upper bounds (must be
+    /// ascending).
     pub fn with_bounds(bounds: &'static [u64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
         // One extra slot for +Inf.
@@ -217,9 +198,15 @@ mod tests {
         assert_eq!(h.snapshot()[0], (10, 1));
     }
 
+    /// Log-spaced from 100 µs to 10 s.
+    const WIDE_BOUNDS: [u64; 14] = [
+        100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
+        2_500_000, 10_000_000,
+    ];
+
     #[test]
     fn quantiles_are_monotone() {
-        let h = Histogram::new();
+        let h = Histogram::with_bounds(&WIDE_BOUNDS);
         for v in 1..=1000u64 {
             h.observe(v * 10);
         }
@@ -228,12 +215,12 @@ mod tests {
         let p99 = h.quantile_micros(0.99);
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
         assert!(p50 > 1000.0 && p99 <= 10_000_000.0);
-        assert_eq!(Histogram::new().quantile_micros(0.5), 0.0);
+        assert_eq!(Histogram::with_bounds(&WIDE_BOUNDS).quantile_micros(0.5), 0.0);
     }
 
     #[test]
     fn concurrent_observations_all_counted() {
-        let h = std::sync::Arc::new(Histogram::new());
+        let h = std::sync::Arc::new(Histogram::with_bounds(&WIDE_BOUNDS));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let h = h.clone();

@@ -221,7 +221,7 @@ mod imp {
         /// write timeout gives up.
         fn shed(&self, mut stream: TcpStream) {
             self.shared.metrics.rejected_total.inc();
-            self.shared.metrics.record_conn_closed("shed");
+            self.shared.metrics.conn_closed.inc("shed");
             let _ = stream.set_write_timeout(Some(self.write_timeout));
             let body = error_json("server overloaded");
             let _ = write_response(
@@ -281,7 +281,7 @@ mod imp {
             if let Some(conn) = self.conns.remove(&token) {
                 let _ = self.poller.remove(conn.stream.as_raw_fd());
                 self.conn_count.fetch_sub(1, Ordering::AcqRel);
-                self.shared.metrics.record_conn_closed(cause);
+                self.shared.metrics.conn_closed.inc(cause);
             }
         }
 

@@ -258,6 +258,13 @@ const DEFAULT_RETRY_BACKOFF: Duration = Duration::from_millis(5);
 /// Default transport retries (the pre-policy behavior: exactly one).
 const DEFAULT_RETRIES: u32 = 1;
 
+/// A kept-alive connection idle at least this long is checked for a
+/// server-side close before it is reused. Servers close idle keep-alives
+/// (cp-serve after its read timeout), and a request written into a closed
+/// socket fails only at the read, where a POST may not be re-sent. Busy
+/// connections skip the check.
+const IDLE_CHECK_AFTER: Duration = Duration::from_millis(10);
+
 /// A keep-alive HTTP client over one TCP connection.
 ///
 /// Failure handling is phase-aware. A connect- or write-phase failure on a
@@ -267,11 +274,16 @@ const DEFAULT_RETRIES: u32 = 1;
 /// the request went out — the server may already have processed it — so
 /// only idempotent GETs retry; re-sending a POST could double-apply a
 /// training step. A failure on a *fresh* first connection means the server
-/// is down, and no retry budget changes that — it fails immediately.
+/// is down, and no retry budget changes that — it fails immediately. So
+/// that a POST does not hit that read-phase failure after an idle spell,
+/// a connection idle for `IDLE_CHECK_AFTER` is checked for a server-side
+/// close before it is reused, and redialed if closed.
 pub struct Client {
     host: String,
     port: u16,
     conn: Option<HttpConn<TcpStream>>,
+    /// When `conn` last finished a response.
+    idle_since: Instant,
     /// Transport retries allowed per request (beyond the first attempt).
     max_retries: u32,
     /// Backoff before the first retry; doubles on each further retry.
@@ -304,6 +316,7 @@ impl Client {
             host: host.to_string(),
             port,
             conn: None,
+            idle_since: Instant::now(),
             max_retries: retries,
             backoff,
             retries: 0,
@@ -316,6 +329,25 @@ impl Client {
     /// doubling, capped so a large budget cannot sleep for minutes.
     fn backoff_pause(&self, attempt: u32) -> Duration {
         self.backoff.saturating_mul(1u32 << attempt.saturating_sub(1).min(10))
+    }
+
+    /// Drops a kept-alive connection that the server closed while it sat
+    /// idle for [`IDLE_CHECK_AFTER`] or longer. A nonblocking peek on a live
+    /// idle connection would block; EOF, an error or unrequested bytes mean
+    /// it cannot carry another request.
+    fn drop_closed_idle_conn(&mut self) {
+        let Some(conn) = &mut self.conn else { return };
+        if self.idle_since.elapsed() < IDLE_CHECK_AFTER {
+            return;
+        }
+        let stream = conn.stream_mut();
+        let live = stream.set_nonblocking(true).is_ok()
+            && matches!(stream.peek(&mut [0]), Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
+            && stream.set_nonblocking(false).is_ok();
+        if !live {
+            self.conn = None;
+            self.reconnects += 1;
+        }
     }
 
     fn connect(&mut self) -> std::io::Result<&mut HttpConn<TcpStream>> {
@@ -341,6 +373,7 @@ impl Client {
         let host = format!("{}:{}", self.host, self.port);
         let mut attempts: u32 = 0;
         loop {
+            self.drop_closed_idle_conn();
             let reused = self.conn.is_some();
             // A first attempt failing on a fresh connection means the
             // server is unreachable; retries only cover reused connections
@@ -374,6 +407,7 @@ impl Client {
                     if close {
                         self.conn = None;
                     }
+                    self.idle_since = Instant::now();
                     // A 503 means the request was *not* acked (see
                     // `status_retries`), so any method may re-send — this
                     // is what rides out a failover's promotion window.

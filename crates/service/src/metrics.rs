@@ -2,17 +2,22 @@
 //!
 //! A fixed, allocation-free registry: every series the server exports is a
 //! named field, bumped through atomics ([`cp_runtime::metrics`]) on the hot
-//! path. `GET /metrics` renders the classic text exposition format:
+//! path. One family table lists every family in exposition order — its
+//! name, label key and values, and rendering rule — and `GET /metrics`
+//! renders the classic text exposition by walking that table:
 //!
 //! ```text
 //! cp_requests_total{endpoint="visit"} 9000
-//! cp_request_duration_micros_bucket{endpoint="visit",le="1000"} 4123
+//! cp_request_micros_bucket{route="visit",le="1024"} 4123
 //! cp_decisions_total{verdict="useful"} 211
 //! cp_queue_depth 0
 //! ```
+//!
+//! Adding a metric takes one field in [`ServiceMetrics`] and one row in
+//! its family table.
 
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::fmt::{Display, Write as _};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cp_runtime::metrics::{Counter, Gauge, Histogram};
 
@@ -66,7 +71,7 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    /// All endpoints, in rendering order.
+    /// All endpoints, in declaration (and rendering) order.
     pub const ALL: [Endpoint; 10] = [
         Endpoint::Healthz,
         Endpoint::Metrics,
@@ -80,34 +85,22 @@ impl Endpoint {
         Endpoint::Other,
     ];
 
+    /// The label values, indexed like [`Endpoint::ALL`].
+    const LABELS: [&'static str; 10] = [
+        "healthz", "metrics", "classify", "visit", "sites", "marks", "expire", "repl", "shutdown",
+        "other",
+    ];
+
     /// The `endpoint` label value.
     pub fn label(self) -> &'static str {
-        match self {
-            Endpoint::Healthz => "healthz",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Classify => "classify",
-            Endpoint::Visit => "visit",
-            Endpoint::Sites => "sites",
-            Endpoint::Marks => "marks",
-            Endpoint::Expire => "expire",
-            Endpoint::Repl => "repl",
-            Endpoint::Shutdown => "shutdown",
-            Endpoint::Other => "other",
-        }
+        Self::LABELS[self.index()]
     }
 
+    /// Position in [`Endpoint::ALL`], which lists the variants in
+    /// declaration order.
     fn index(self) -> usize {
-        Endpoint::ALL.iter().position(|e| *e == self).expect("endpoint in ALL")
+        self as usize
     }
-}
-
-/// One endpoint's request counter + latency histogram.
-#[derive(Debug, Default)]
-pub struct EndpointSeries {
-    /// Requests routed to this endpoint.
-    pub requests: Counter,
-    /// Handling latency (request parsed → response built), in microseconds.
-    pub latency: Histogram,
 }
 
 /// Bucket bounds for the detection-time histogram, in microseconds. Powers
@@ -139,133 +132,193 @@ pub const REQUEST_BUCKETS_MICROS: [u64; 16] =
 /// resolve both regimes.
 pub const CRAWL_LAG_BUCKETS_TICKS: [u64; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
 
-/// Follower slots the fixed registry reserves for
-/// `cp_repl_records_total{peer}` — the registry is allocation-free, so
-/// the per-peer counters are a fixed array and peers beyond it share the
-/// last slot.
+/// Follower slots the fixed registry reserves for the per-peer series
+/// (`cp_repl_records_total{peer}`, `cp_repl_peer_up{peer}`) — the
+/// registry is allocation-free, so they are fixed arrays and peers beyond
+/// them share the last slot.
 pub const MAX_REPL_PEERS: usize = 8;
 
-/// The server's metric registry.
+/// `peer` label values, one per follower slot.
+const PEER_LABELS: [&str; MAX_REPL_PEERS] = ["0", "1", "2", "3", "4", "5", "6", "7"];
+
+/// A counter family over a fixed set of label values: one [`Counter`] per
+/// value, bumped by value. The label key lives in the family's table row.
 #[derive(Debug)]
-pub struct ServiceMetrics {
-    endpoints: [EndpointSeries; 10],
-    /// Per-route request time in power-of-two buckets
-    /// ([`REQUEST_BUCKETS_MICROS`]), indexed like `endpoints`.
-    request_micros: [Histogram; 10],
-    /// Event-loop wakeups (`epoll_wait` returns with ≥1 event).
-    pub event_loop_wakeups: Counter,
-    /// Connections with readiness events in the event-loop pass being
-    /// processed right now (the readiness-loop analogue of queue depth).
-    pub ready_conns: Gauge,
-    /// Responses by status class.
-    pub responses_2xx: Counter,
-    /// 4xx responses (bad requests, 404s, 413s).
-    pub responses_4xx: Counter,
-    /// 5xx responses (handler panics).
-    pub responses_5xx: Counter,
-    /// Detection verdicts: difference attributed to cookies.
-    pub decisions_useful: Counter,
-    /// Detection verdicts: page-dynamics noise.
-    pub decisions_noise: Counter,
-    /// Server-side detection time (`decide` proper, excluding transport
-    /// and body parsing), in microseconds.
-    pub detection: Histogram,
-    /// Page-analysis cache hits (body already compiled).
-    pub cache_hits: Counter,
-    /// Page-analysis cache misses (parse + extract ran).
-    pub cache_misses: Counter,
-    /// Site lookups by result, indexed by [`SITE_DERIVE_RESULTS`].
-    site_derive: [Counter; 3],
-    /// Time to derive one site from the universe (cache misses only), in
-    /// microseconds.
-    pub site_derive_micros: Histogram,
-    /// Connections queued for a worker right now.
-    pub queue_depth: Gauge,
-    /// Connections accepted over the server's lifetime.
-    pub connections_total: Counter,
-    /// Connections rejected because the accept queue was full.
-    pub rejected_total: Counter,
-    /// Hidden-fetch outcomes by result, indexed by [`HIDDEN_FETCH_RESULTS`].
-    hidden_fetch: [Counter; 6],
-    /// Deferred probes by reason, indexed by [`INCONCLUSIVE_REASONS`].
-    probe_inconclusive: [Counter; 4],
-    /// Hidden-fetch retries issued (attempts beyond the first).
-    pub retry_total: Counter,
-    /// Detections that overran the configured deadline.
-    pub deadline_exceeded_total: Counter,
-    /// Detection-deadline threshold, in microseconds (`u64::MAX` = off).
-    detection_deadline_micros: AtomicU64,
-    /// Connection closes by cause, indexed by [`CONN_CLOSE_CAUSES`].
-    conn_closed: [Counter; 6],
-    /// WAL records appended (and therefore durably acked).
-    pub wal_records_total: Counter,
-    /// WAL fsync latency, in microseconds.
-    pub wal_fsync: Histogram,
-    /// Snapshots written, by `result` (`ok` / `error`).
-    snapshot: [Counter; 2],
-    /// Injected storage faults handled, indexed by [`WAL_FAULT_KINDS`].
-    wal_faults: [Counter; 4],
-    /// Replicated records acked per follower, indexed by peer position;
-    /// only the first `repl_peer_count` render ([`MAX_REPL_PEERS`] slots).
-    repl_records: [Counter; MAX_REPL_PEERS],
-    /// Followers the current replicator streams to (bounds the rendered
-    /// `cp_repl_records_total{peer}` series).
-    repl_peer_count: AtomicUsize,
-    /// Max records any *connected* follower trails the primary's shipped
-    /// count (down peers are excluded — see `cp_repl_peer_up`).
-    pub repl_lag_records: Gauge,
-    /// 1 while the peer's stream is connected (live or catching-up),
-    /// 0 while it is down; indexed like `repl_records`.
-    repl_peer_up: [Gauge; MAX_REPL_PEERS],
-    /// Full replication round-trip per shipped record (encode → every
-    /// live follower acked), in microseconds.
-    pub repl_ack_micros: Histogram,
-    /// Peers brought back to the live stream after a disconnect or
-    /// demotion (each is one completed resync).
-    pub repl_resync_total: Counter,
-    /// Backlog records replayed to catching-up or reconnecting peers.
-    pub repl_resync_records_total: Counter,
-    /// Live peers demoted to catching-up for missing the per-ship ack
-    /// deadline.
-    pub repl_slow_demotions_total: Counter,
-    /// Bootstrap hints sent to peers beyond the backlog (primary side).
-    pub repl_bootstrap_hints_total: Counter,
-    /// Snapshot bootstraps installed (follower side).
-    pub repl_bootstrap_total: Counter,
-    /// Worst single-ship wall time since start, in microseconds — the
-    /// stall a slow follower actually added to a client write.
-    pub repl_ack_stall_max_micros: Gauge,
-    /// Primary promotions performed (bumped by the router tier).
-    pub failover_total: Counter,
-    /// Ring reads failed over to the next alive backend after a transport
-    /// error (router tier).
-    pub route_read_failover_total: Counter,
-    /// Sum of `cp_repl_resync_total` across the backends a router
-    /// heartbeats (router tier).
-    pub route_resyncs_observed: Gauge,
-    /// Max `cp_repl_ack_stall_max_micros` across those backends.
-    pub route_max_ack_stall_micros: Gauge,
-    /// WAL records replayed by the last startup recovery.
-    pub recovery_records_replayed: Gauge,
-    /// Torn-tail bytes discarded by the last startup recovery.
-    pub recovery_torn_tail_bytes: Gauge,
-    /// Hosts currently queued in the crawler frontier.
-    pub crawl_frontier_depth: Gauge,
-    /// Visits the crawler completed (any outcome).
-    pub crawl_visits_total: Counter,
-    /// Hosts the crawler discovered via keyset enumeration.
-    pub crawl_discovered_total: Counter,
-    /// Crawler visits whose probe deferred (`ProbeOutcome::Inconclusive`).
-    pub crawl_inconclusive_total: Counter,
-    /// Crawler reschedules forced by backoff (inconclusive or transport).
-    pub crawl_backoff_total: Counter,
-    /// Crawled hosts the resolver rejected (dropped from the frontier).
-    pub crawl_unknown_host_total: Counter,
-    /// Marks expired by the usefulness TTL into the re-verification queue.
-    pub crawl_expired_marks_total: Counter,
-    /// Lag between a revisit's due tick and its actual visit tick, in
-    /// ticks (scheduler pressure: 0-lag means the frontier keeps up).
-    pub crawl_revisit_lag: Histogram,
+pub struct LabeledCounter {
+    values: &'static [&'static str],
+    counters: Box<[Counter]>,
+}
+
+impl LabeledCounter {
+    /// A zeroed family over `values`, in rendering order.
+    pub(crate) fn new(values: &'static [&'static str]) -> Self {
+        LabeledCounter { values, counters: values.iter().map(|_| Counter::new()).collect() }
+    }
+
+    fn counter(&self, value: &str) -> Option<&Counter> {
+        self.values.iter().position(|v| *v == value).map(|i| &self.counters[i])
+    }
+
+    /// Adds one to the `value` series; values outside the set are ignored.
+    pub fn inc(&self, value: &str) {
+        if let Some(counter) = self.counter(value) {
+            counter.inc();
+        }
+    }
+
+    /// The current value of the `value` series (0 outside the set).
+    pub fn get(&self, value: &str) -> u64 {
+        self.counter(value).map_or(0, Counter::get)
+    }
+
+    /// The sum across every label value.
+    pub fn total(&self) -> u64 {
+        self.counters.iter().map(Counter::get).sum()
+    }
+}
+
+/// Declares the registry struct with each field's initial value written
+/// beside it (`field: Type = init`; without `= init` the field starts at
+/// `Default::default()`), and a `new()` that builds it from those values.
+macro_rules! registry {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* $vis:vis $field:ident: $ty:ty $(= $init:expr)?,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$field_meta])* $vis $field: $ty,)*
+        }
+
+        impl $name {
+            /// Creates a zeroed registry.
+            pub fn new() -> Self {
+                $name { $($field: registry!(@init $($init)?),)* }
+            }
+        }
+    };
+    (@init) => { Default::default() };
+    (@init $init:expr) => { $init };
+}
+
+registry! {
+    /// The server's metric registry, fields in exposition order. Each
+    /// field is named by one row of the family table.
+    #[derive(Debug)]
+    pub struct ServiceMetrics {
+        /// Requests routed to each endpoint, indexed like [`Endpoint::ALL`].
+        requests: [Counter; 10],
+        /// Per-route handling time (request parsed → response built) in
+        /// power-of-two buckets, indexed like `requests`.
+        request_micros: [Histogram; 10] =
+            std::array::from_fn(|_| Histogram::with_bounds(&REQUEST_BUCKETS_MICROS)),
+        /// Responses by status class (`2xx`, `4xx`, `5xx`).
+        pub responses: LabeledCounter = LabeledCounter::new(&["2xx", "4xx", "5xx"]),
+        /// Detection verdicts: `useful` (difference attributed to cookies)
+        /// or `noise` (page dynamics).
+        pub decisions: LabeledCounter = LabeledCounter::new(&["useful", "noise"]),
+        /// Server-side detection time (`decide` proper, excluding transport
+        /// and body parsing), in microseconds.
+        pub detection: Histogram = Histogram::with_bounds(&DETECTION_BUCKETS_MICROS),
+        /// Hidden-fetch outcomes by [`HIDDEN_FETCH_RESULTS`] result.
+        pub hidden_fetch: LabeledCounter = LabeledCounter::new(&HIDDEN_FETCH_RESULTS),
+        /// Deferred probes by [`INCONCLUSIVE_REASONS`] reason.
+        pub probe_inconclusive: LabeledCounter = LabeledCounter::new(&INCONCLUSIVE_REASONS),
+        /// Hidden-fetch retries issued (attempts beyond the first).
+        pub retry_total: Counter,
+        /// Page-analysis cache lookups: `hit` (body already compiled) or
+        /// `miss` (parse + extract ran).
+        pub analysis_cache: LabeledCounter = LabeledCounter::new(&["hit", "miss"]),
+        /// Site lookups against the lazy world by [`SITE_DERIVE_RESULTS`]
+        /// result.
+        pub site_derive: LabeledCounter = LabeledCounter::new(&SITE_DERIVE_RESULTS),
+        /// Time to derive one site from the universe (cache misses only), in
+        /// microseconds.
+        pub site_derive_micros: Histogram = Histogram::with_bounds(&DETECTION_BUCKETS_MICROS),
+        /// Connections queued for a worker right now.
+        pub queue_depth: Gauge,
+        /// Connections with readiness events in the event-loop pass being
+        /// processed right now (the readiness-loop analogue of queue depth).
+        pub ready_conns: Gauge,
+        /// Event-loop wakeups (`epoll_wait` returns with ≥1 event).
+        pub event_loop_wakeups: Counter,
+        /// Connections accepted over the server's lifetime.
+        pub connections_total: Counter,
+        /// Connections rejected because the accept queue was full.
+        pub rejected_total: Counter,
+        /// Connection closes by [`CONN_CLOSE_CAUSES`] cause.
+        pub conn_closed: LabeledCounter = LabeledCounter::new(&CONN_CLOSE_CAUSES),
+        /// WAL records appended (and therefore durably acked).
+        pub wal_records_total: Counter,
+        /// WAL fsync latency, in microseconds.
+        pub wal_fsync: Histogram = Histogram::with_bounds(&WAL_FSYNC_BUCKETS_MICROS),
+        /// Snapshots written, by result (`ok` / `error`).
+        pub snapshot: LabeledCounter = LabeledCounter::new(&["ok", "error"]),
+        /// Injected storage faults handled, by [`WAL_FAULT_KINDS`] kind.
+        pub wal_faults: LabeledCounter = LabeledCounter::new(&WAL_FAULT_KINDS),
+        /// Replicated records acked per follower, indexed by peer position.
+        repl_records: [Counter; MAX_REPL_PEERS],
+        /// 1 while the peer's stream is connected (live or catching-up),
+        /// 0 while it is down; indexed like `repl_records`.
+        repl_peer_up: [Gauge; MAX_REPL_PEERS],
+        /// Followers the current replicator streams to: only this many
+        /// per-peer series render.
+        repl_peer_count: AtomicUsize,
+        /// Max records any *connected* follower trails the primary's shipped
+        /// count (down peers are excluded — see `cp_repl_peer_up`).
+        pub repl_lag_records: Gauge,
+        /// Peers brought back to the live stream after a disconnect or
+        /// demotion (each is one completed resync).
+        pub repl_resync_total: Counter,
+        /// Backlog records replayed to catching-up or reconnecting peers.
+        pub repl_resync_records_total: Counter,
+        /// Live peers demoted to catching-up for missing the per-ship ack
+        /// deadline.
+        pub repl_slow_demotions_total: Counter,
+        /// Bootstrap hints sent to peers beyond the backlog (primary side).
+        pub repl_bootstrap_hints_total: Counter,
+        /// Snapshot bootstraps installed (follower side).
+        pub repl_bootstrap_total: Counter,
+        /// Worst single-ship wall time since start, in microseconds — the
+        /// stall a slow follower actually added to a client write.
+        pub repl_ack_stall_max_micros: Gauge,
+        /// Full replication round-trip per shipped record (encode → every
+        /// live follower acked), in microseconds.
+        pub repl_ack_micros: Histogram = Histogram::with_bounds(&WAL_FSYNC_BUCKETS_MICROS),
+        /// Primary promotions performed (bumped by the router tier).
+        pub failover_total: Counter,
+        /// Ring reads failed over to the next alive backend after a transport
+        /// error (router tier).
+        pub route_read_failover_total: Counter,
+        /// Sum of `cp_repl_resync_total` across the backends a router
+        /// heartbeats (router tier).
+        pub route_resyncs_observed: Gauge,
+        /// Max `cp_repl_ack_stall_max_micros` across those backends.
+        pub route_max_ack_stall_micros: Gauge,
+        /// Hosts currently queued in the crawler frontier.
+        pub crawl_frontier_depth: Gauge,
+        /// Visits the crawler completed (any outcome).
+        pub crawl_visits_total: Counter,
+        /// Hosts the crawler discovered via keyset enumeration.
+        pub crawl_discovered_total: Counter,
+        /// Crawler visits whose probe deferred (`ProbeOutcome::Inconclusive`).
+        pub crawl_inconclusive_total: Counter,
+        /// Crawler reschedules forced by backoff (inconclusive or transport).
+        pub crawl_backoff_total: Counter,
+        /// Crawled hosts the resolver rejected (dropped from the frontier).
+        pub crawl_unknown_host_total: Counter,
+        /// Marks expired by the usefulness TTL into the re-verification queue.
+        pub crawl_expired_marks_total: Counter,
+        /// Lag between a revisit's due tick and its actual visit tick, in
+        /// ticks (scheduler pressure: 0-lag means the frontier keeps up).
+        pub crawl_revisit_lag: Histogram = Histogram::with_bounds(&CRAWL_LAG_BUCKETS_TICKS),
+        /// WAL records replayed by the last startup recovery.
+        pub recovery_records_replayed: Gauge,
+        /// Torn-tail bytes discarded by the last startup recovery.
+        pub recovery_torn_tail_bytes: Gauge,
+    }
 }
 
 impl Default for ServiceMetrics {
@@ -275,183 +328,25 @@ impl Default for ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Creates a zeroed registry.
-    pub fn new() -> Self {
-        ServiceMetrics {
-            endpoints: Default::default(),
-            request_micros: std::array::from_fn(|_| {
-                Histogram::with_bounds(&REQUEST_BUCKETS_MICROS)
-            }),
-            event_loop_wakeups: Counter::new(),
-            ready_conns: Gauge::new(),
-            responses_2xx: Counter::new(),
-            responses_4xx: Counter::new(),
-            responses_5xx: Counter::new(),
-            decisions_useful: Counter::new(),
-            decisions_noise: Counter::new(),
-            detection: Histogram::with_bounds(&DETECTION_BUCKETS_MICROS),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            site_derive: Default::default(),
-            site_derive_micros: Histogram::with_bounds(&DETECTION_BUCKETS_MICROS),
-            queue_depth: Gauge::new(),
-            connections_total: Counter::new(),
-            rejected_total: Counter::new(),
-            hidden_fetch: Default::default(),
-            probe_inconclusive: Default::default(),
-            retry_total: Counter::new(),
-            deadline_exceeded_total: Counter::new(),
-            detection_deadline_micros: AtomicU64::new(u64::MAX),
-            conn_closed: Default::default(),
-            wal_records_total: Counter::new(),
-            wal_fsync: Histogram::with_bounds(&WAL_FSYNC_BUCKETS_MICROS),
-            snapshot: Default::default(),
-            wal_faults: Default::default(),
-            repl_records: Default::default(),
-            repl_peer_count: AtomicUsize::new(0),
-            repl_lag_records: Gauge::new(),
-            repl_peer_up: Default::default(),
-            repl_ack_micros: Histogram::with_bounds(&WAL_FSYNC_BUCKETS_MICROS),
-            repl_resync_total: Counter::new(),
-            repl_resync_records_total: Counter::new(),
-            repl_slow_demotions_total: Counter::new(),
-            repl_bootstrap_hints_total: Counter::new(),
-            repl_bootstrap_total: Counter::new(),
-            repl_ack_stall_max_micros: Gauge::new(),
-            failover_total: Counter::new(),
-            route_read_failover_total: Counter::new(),
-            route_resyncs_observed: Gauge::new(),
-            route_max_ack_stall_micros: Gauge::new(),
-            recovery_records_replayed: Gauge::new(),
-            recovery_torn_tail_bytes: Gauge::new(),
-            crawl_frontier_depth: Gauge::new(),
-            crawl_visits_total: Counter::new(),
-            crawl_discovered_total: Counter::new(),
-            crawl_inconclusive_total: Counter::new(),
-            crawl_backoff_total: Counter::new(),
-            crawl_unknown_host_total: Counter::new(),
-            crawl_expired_marks_total: Counter::new(),
-            crawl_revisit_lag: Histogram::with_bounds(&CRAWL_LAG_BUCKETS_TICKS),
-        }
-    }
-
-    /// The series for `endpoint`.
-    pub fn endpoint(&self, endpoint: Endpoint) -> &EndpointSeries {
-        &self.endpoints[endpoint.index()]
-    }
-
-    /// The power-of-two request-time histogram for `endpoint`.
-    pub fn request_micros(&self, endpoint: Endpoint) -> &Histogram {
-        &self.request_micros[endpoint.index()]
-    }
-
     /// Records one handled request.
     pub fn record(&self, endpoint: Endpoint, status: u16, micros: u64) {
-        let series = self.endpoint(endpoint);
-        series.requests.inc();
-        series.latency.observe(micros);
-        self.request_micros[endpoint.index()].observe(micros);
-        match status {
-            200..=299 => self.responses_2xx.inc(),
-            500..=599 => self.responses_5xx.inc(),
-            _ => self.responses_4xx.inc(),
-        }
-    }
-
-    /// Records one decision verdict.
-    pub fn record_verdict(&self, useful: bool) {
-        if useful {
-            self.decisions_useful.inc();
-        } else {
-            self.decisions_noise.inc();
-        }
-    }
-
-    /// Records one page-analysis cache lookup.
-    pub fn record_cache(&self, hit: bool) {
-        if hit {
-            self.cache_hits.inc();
-        } else {
-            self.cache_misses.inc();
-        }
-    }
-
-    /// Sets the detection-deadline threshold. Detections observed through
-    /// [`record_detection`](Self::record_detection) that take longer bump
-    /// `cp_deadline_exceeded_total`. `u64::MAX` (the default) disables it.
-    pub fn set_detection_deadline_micros(&self, micros: u64) {
-        self.detection_deadline_micros.store(micros, Ordering::Relaxed);
-    }
-
-    /// Observes one detection time and checks it against the deadline.
-    pub fn record_detection(&self, micros: u64) {
-        self.detection.observe(micros);
-        if micros > self.detection_deadline_micros.load(Ordering::Relaxed) {
-            self.deadline_exceeded_total.inc();
-        }
-    }
-
-    /// Records one hidden-fetch outcome; `result` must be a
-    /// [`HIDDEN_FETCH_RESULTS`] label (anything else is ignored).
-    pub fn record_hidden_fetch(&self, result: &str) {
-        if let Some(i) = HIDDEN_FETCH_RESULTS.iter().position(|r| *r == result) {
-            self.hidden_fetch[i].inc();
-        }
-    }
-
-    /// Records one site lookup against the lazy world; `result` must be a
-    /// [`SITE_DERIVE_RESULTS`] label (anything else is ignored). `micros`
-    /// is the derivation time for cache misses (`None` when nothing was
-    /// derived, so the histogram measures derivation proper).
-    pub fn record_site_derive(&self, result: &str, micros: Option<u64>) {
-        if let Some(i) = SITE_DERIVE_RESULTS.iter().position(|r| *r == result) {
-            self.site_derive[i].inc();
-        }
-        if let Some(micros) = micros {
-            self.site_derive_micros.observe(micros);
-        }
+        let i = endpoint.index();
+        self.requests[i].inc();
+        self.request_micros[i].observe(micros);
+        self.responses.inc(match status {
+            200..=299 => "2xx",
+            500..=599 => "5xx",
+            _ => "4xx",
+        });
     }
 
     /// The current value of one `cp_site_derive_total` series.
     pub fn site_derive_count(&self, result: &str) -> u64 {
-        SITE_DERIVE_RESULTS
-            .iter()
-            .position(|r| *r == result)
-            .map_or(0, |i| self.site_derive[i].get())
+        self.site_derive.get(result)
     }
 
-    /// Records one deferred probe; `reason` must be an
-    /// [`INCONCLUSIVE_REASONS`] label (anything else is ignored).
-    pub fn record_inconclusive(&self, reason: &str) {
-        if let Some(i) = INCONCLUSIVE_REASONS.iter().position(|r| *r == reason) {
-            self.probe_inconclusive[i].inc();
-        }
-    }
-
-    /// Records one connection close; `cause` must be a
-    /// [`CONN_CLOSE_CAUSES`] label (anything else is ignored).
-    pub fn record_conn_closed(&self, cause: &str) {
-        if let Some(i) = CONN_CLOSE_CAUSES.iter().position(|c| *c == cause) {
-            self.conn_closed[i].inc();
-        }
-    }
-
-    /// Records one handled storage fault; `kind` must be a
-    /// [`WAL_FAULT_KINDS`] label (anything else is ignored).
-    pub fn record_wal_fault(&self, kind: &str) {
-        if let Some(i) = WAL_FAULT_KINDS.iter().position(|k| *k == kind) {
-            self.wal_faults[i].inc();
-        }
-    }
-
-    /// Total injected storage faults handled, across all kinds.
-    pub fn wal_fault_total(&self) -> u64 {
-        self.wal_faults.iter().map(Counter::get).sum()
-    }
-
-    /// Sets how many `cp_repl_records_total{peer}` series render (the
-    /// follower count of the current replicator, capped at
-    /// [`MAX_REPL_PEERS`]).
+    /// Sets how many per-peer series render (the follower count of the
+    /// current replicator, capped at [`MAX_REPL_PEERS`]).
     pub fn set_repl_peers(&self, peers: usize) {
         self.repl_peer_count.store(peers.min(MAX_REPL_PEERS), Ordering::Relaxed);
     }
@@ -470,300 +365,172 @@ impl ServiceMetrics {
         self.repl_records[peer.min(MAX_REPL_PEERS - 1)].inc();
     }
 
-    /// The current value of one `cp_repl_records_total{peer}` series.
-    pub fn repl_records_count(&self, peer: usize) -> u64 {
-        self.repl_records.get(peer).map_or(0, Counter::get)
-    }
-
-    /// Records one snapshot attempt.
-    pub fn record_snapshot(&self, ok: bool) {
-        self.snapshot[usize::from(!ok)].inc();
-    }
-
-    /// The current value of one `cp_snapshot_total` series.
-    pub fn snapshot_count(&self, result: &str) -> u64 {
-        match result {
-            "ok" => self.snapshot[0].get(),
-            "error" => self.snapshot[1].get(),
-            _ => 0,
-        }
-    }
-
-    /// The current value of one `cp_hidden_fetch_total` series.
-    pub fn hidden_fetch_count(&self, result: &str) -> u64 {
-        HIDDEN_FETCH_RESULTS
-            .iter()
-            .position(|r| *r == result)
-            .map_or(0, |i| self.hidden_fetch[i].get())
-    }
-
-    /// The current value of one `cp_conn_closed_total` series.
-    pub fn conn_closed_count(&self, cause: &str) -> u64 {
-        CONN_CLOSE_CAUSES.iter().position(|c| *c == cause).map_or(0, |i| self.conn_closed[i].get())
+    /// The family table, in exposition order: one row per family.
+    fn families(&self) -> impl IntoIterator<Item = Family<'_>> {
+        use Series::{Counters, Gauges, Histograms};
+        let peers = self.repl_peer_count.load(Ordering::Relaxed);
+        [
+            Family::per_endpoint("cp_requests_total", "endpoint", Counters(&self.requests)),
+            Family::per_endpoint("cp_request_micros", "route", Histograms(&self.request_micros)),
+            Family::labeled("cp_responses_total", "class", &self.responses),
+            Family::labeled("cp_decisions_total", "verdict", &self.decisions),
+            Family::histogram("cp_detection_micros", &self.detection),
+            Family::labeled("cp_hidden_fetch_total", "result", &self.hidden_fetch),
+            Family::labeled("cp_probe_inconclusive_total", "reason", &self.probe_inconclusive),
+            Family::counter("cp_retry_total", &self.retry_total),
+            Family::labeled("cp_analysis_cache_total", "result", &self.analysis_cache),
+            Family::labeled("cp_site_derive_total", "result", &self.site_derive),
+            Family::histogram("cp_site_derive_micros", &self.site_derive_micros),
+            Family::gauge("cp_queue_depth", &self.queue_depth),
+            Family::gauge("cp_ready_conns", &self.ready_conns),
+            Family::counter("cp_event_loop_wakeups_total", &self.event_loop_wakeups),
+            Family::counter("cp_connections_total", &self.connections_total),
+            Family::counter("cp_rejected_total", &self.rejected_total),
+            Family::labeled("cp_conn_closed_total", "cause", &self.conn_closed),
+            Family::counter("cp_wal_records_total", &self.wal_records_total),
+            Family::histogram("cp_wal_fsync_micros", &self.wal_fsync),
+            Family::labeled("cp_snapshot_total", "result", &self.snapshot),
+            Family::labeled("cp_wal_faults_total", "kind", &self.wal_faults),
+            Family::first_peers("cp_repl_records_total", peers, Counters(&self.repl_records)),
+            Family::first_peers("cp_repl_peer_up", peers, Gauges(&self.repl_peer_up)),
+            Family::gauge("cp_repl_lag_records", &self.repl_lag_records),
+            Family::counter("cp_repl_resync_total", &self.repl_resync_total),
+            Family::counter("cp_repl_resync_records_total", &self.repl_resync_records_total),
+            Family::counter("cp_repl_slow_demotions_total", &self.repl_slow_demotions_total),
+            Family::counter("cp_repl_bootstrap_hints_total", &self.repl_bootstrap_hints_total),
+            Family::counter("cp_repl_bootstrap_total", &self.repl_bootstrap_total),
+            Family::gauge("cp_repl_ack_stall_max_micros", &self.repl_ack_stall_max_micros),
+            Family::histogram("cp_repl_ack_micros", &self.repl_ack_micros),
+            Family::counter("cp_failover_total", &self.failover_total),
+            Family::counter("cp_route_read_failover_total", &self.route_read_failover_total),
+            Family::gauge("cp_route_resyncs_observed", &self.route_resyncs_observed),
+            Family::gauge("cp_route_max_ack_stall_micros", &self.route_max_ack_stall_micros),
+            Family::gauge("cp_crawl_frontier_depth", &self.crawl_frontier_depth),
+            Family::counter("cp_crawl_visits_total", &self.crawl_visits_total),
+            Family::counter("cp_crawl_discovered_total", &self.crawl_discovered_total),
+            Family::counter("cp_crawl_inconclusive_total", &self.crawl_inconclusive_total),
+            Family::counter("cp_crawl_backoff_total", &self.crawl_backoff_total),
+            Family::counter("cp_crawl_unknown_host_total", &self.crawl_unknown_host_total),
+            Family::counter("cp_crawl_expired_marks_total", &self.crawl_expired_marks_total),
+            Family::histogram("cp_crawl_revisit_lag_ticks", &self.crawl_revisit_lag),
+            Family::gauge("cp_recovery_records_replayed", &self.recovery_records_replayed),
+            Family::gauge("cp_recovery_torn_tail_bytes", &self.recovery_torn_tail_bytes),
+        ]
     }
 
     /// Renders the Prometheus text exposition.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("# TYPE cp_requests_total counter\n");
-        for e in Endpoint::ALL {
-            let _ = writeln!(
-                out,
-                "cp_requests_total{{endpoint=\"{}\"}} {}",
-                e.label(),
-                self.endpoint(e).requests.get()
-            );
+        for family in self.families() {
+            family.render(&mut out);
         }
-        out.push_str("# TYPE cp_request_duration_micros histogram\n");
-        for e in Endpoint::ALL {
-            let series = self.endpoint(e);
-            if series.requests.get() == 0 {
-                continue; // keep the exposition small: no series for idle endpoints
-            }
-            for (bound, cumulative) in series.latency.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(
-                    out,
-                    "cp_request_duration_micros_bucket{{endpoint=\"{}\",le=\"{le}\"}} {cumulative}",
-                    e.label()
-                );
-            }
-            let _ = writeln!(
-                out,
-                "cp_request_duration_micros_sum{{endpoint=\"{}\"}} {}",
-                e.label(),
-                series.latency.sum_micros()
-            );
-            let _ = writeln!(
-                out,
-                "cp_request_duration_micros_count{{endpoint=\"{}\"}} {}",
-                e.label(),
-                series.latency.count()
-            );
-        }
-        out.push_str("# TYPE cp_request_micros histogram\n");
-        for e in Endpoint::ALL {
-            let hist = self.request_micros(e);
-            if hist.count() == 0 {
-                continue; // idle-histogram rule: no buckets until observed
-            }
-            for (bound, cumulative) in hist.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(
-                    out,
-                    "cp_request_micros_bucket{{route=\"{}\",le=\"{le}\"}} {cumulative}",
-                    e.label()
-                );
-            }
-            let _ = writeln!(
-                out,
-                "cp_request_micros_sum{{route=\"{}\"}} {}",
-                e.label(),
-                hist.sum_micros()
-            );
-            let _ = writeln!(
-                out,
-                "cp_request_micros_count{{route=\"{}\"}} {}",
-                e.label(),
-                hist.count()
-            );
-        }
-        out.push_str("# TYPE cp_responses_total counter\n");
-        for (class, counter) in [
-            ("2xx", &self.responses_2xx),
-            ("4xx", &self.responses_4xx),
-            ("5xx", &self.responses_5xx),
-        ] {
-            let _ = writeln!(out, "cp_responses_total{{class=\"{class}\"}} {}", counter.get());
-        }
-        out.push_str("# TYPE cp_decisions_total counter\n");
-        let _ = writeln!(
-            out,
-            "cp_decisions_total{{verdict=\"useful\"}} {}",
-            self.decisions_useful.get()
-        );
-        let _ =
-            writeln!(out, "cp_decisions_total{{verdict=\"noise\"}} {}", self.decisions_noise.get());
-        out.push_str("# TYPE cp_detection_micros histogram\n");
-        if self.detection.count() > 0 {
-            for (bound, cumulative) in self.detection.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(out, "cp_detection_micros_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "cp_detection_micros_sum {}", self.detection.sum_micros());
-            let _ = writeln!(out, "cp_detection_micros_count {}", self.detection.count());
-        }
-        out.push_str("# TYPE cp_hidden_fetch_total counter\n");
-        for (label, counter) in HIDDEN_FETCH_RESULTS.iter().zip(&self.hidden_fetch) {
-            let _ = writeln!(out, "cp_hidden_fetch_total{{result=\"{label}\"}} {}", counter.get());
-        }
-        out.push_str("# TYPE cp_probe_inconclusive_total counter\n");
-        for (label, counter) in INCONCLUSIVE_REASONS.iter().zip(&self.probe_inconclusive) {
-            let _ = writeln!(
-                out,
-                "cp_probe_inconclusive_total{{reason=\"{label}\"}} {}",
-                counter.get()
-            );
-        }
-        out.push_str("# TYPE cp_retry_total counter\n");
-        let _ = writeln!(out, "cp_retry_total {}", self.retry_total.get());
-        out.push_str("# TYPE cp_deadline_exceeded_total counter\n");
-        let _ = writeln!(out, "cp_deadline_exceeded_total {}", self.deadline_exceeded_total.get());
-        out.push_str("# TYPE cp_analysis_cache_total counter\n");
-        let _ =
-            writeln!(out, "cp_analysis_cache_total{{result=\"hit\"}} {}", self.cache_hits.get());
-        let _ =
-            writeln!(out, "cp_analysis_cache_total{{result=\"miss\"}} {}", self.cache_misses.get());
-        out.push_str("# TYPE cp_site_derive_total counter\n");
-        for (label, counter) in SITE_DERIVE_RESULTS.iter().zip(&self.site_derive) {
-            let _ = writeln!(out, "cp_site_derive_total{{result=\"{label}\"}} {}", counter.get());
-        }
-        out.push_str("# TYPE cp_site_derive_micros histogram\n");
-        if self.site_derive_micros.count() > 0 {
-            for (bound, cumulative) in self.site_derive_micros.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(out, "cp_site_derive_micros_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ =
-                writeln!(out, "cp_site_derive_micros_sum {}", self.site_derive_micros.sum_micros());
-            let _ =
-                writeln!(out, "cp_site_derive_micros_count {}", self.site_derive_micros.count());
-        }
-        out.push_str("# TYPE cp_queue_depth gauge\n");
-        let _ = writeln!(out, "cp_queue_depth {}", self.queue_depth.get());
-        out.push_str("# TYPE cp_ready_conns gauge\n");
-        let _ = writeln!(out, "cp_ready_conns {}", self.ready_conns.get());
-        out.push_str("# TYPE cp_event_loop_wakeups_total counter\n");
-        let _ = writeln!(out, "cp_event_loop_wakeups_total {}", self.event_loop_wakeups.get());
-        out.push_str("# TYPE cp_connections_total counter\n");
-        let _ = writeln!(out, "cp_connections_total {}", self.connections_total.get());
-        out.push_str("# TYPE cp_rejected_total counter\n");
-        let _ = writeln!(out, "cp_rejected_total {}", self.rejected_total.get());
-        out.push_str("# TYPE cp_conn_closed_total counter\n");
-        for (label, counter) in CONN_CLOSE_CAUSES.iter().zip(&self.conn_closed) {
-            let _ = writeln!(out, "cp_conn_closed_total{{cause=\"{label}\"}} {}", counter.get());
-        }
-        out.push_str("# TYPE cp_wal_records_total counter\n");
-        let _ = writeln!(out, "cp_wal_records_total {}", self.wal_records_total.get());
-        out.push_str("# TYPE cp_wal_fsync_micros histogram\n");
-        if self.wal_fsync.count() > 0 {
-            for (bound, cumulative) in self.wal_fsync.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(out, "cp_wal_fsync_micros_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "cp_wal_fsync_micros_sum {}", self.wal_fsync.sum_micros());
-            let _ = writeln!(out, "cp_wal_fsync_micros_count {}", self.wal_fsync.count());
-        }
-        out.push_str("# TYPE cp_snapshot_total counter\n");
-        for (result, counter) in ["ok", "error"].iter().zip(&self.snapshot) {
-            let _ = writeln!(out, "cp_snapshot_total{{result=\"{result}\"}} {}", counter.get());
-        }
-        out.push_str("# TYPE cp_wal_faults_total counter\n");
-        for (label, counter) in WAL_FAULT_KINDS.iter().zip(&self.wal_faults) {
-            let _ = writeln!(out, "cp_wal_faults_total{{kind=\"{label}\"}} {}", counter.get());
-        }
-        out.push_str("# TYPE cp_repl_records_total counter\n");
-        for peer in 0..self.repl_peer_count.load(Ordering::Relaxed) {
-            let _ = writeln!(
-                out,
-                "cp_repl_records_total{{peer=\"{peer}\"}} {}",
-                self.repl_records[peer].get()
-            );
-        }
-        out.push_str("# TYPE cp_repl_peer_up gauge\n");
-        for peer in 0..self.repl_peer_count.load(Ordering::Relaxed) {
-            let _ = writeln!(
-                out,
-                "cp_repl_peer_up{{peer=\"{peer}\"}} {}",
-                self.repl_peer_up[peer].get()
-            );
-        }
-        out.push_str("# TYPE cp_repl_lag_records gauge\n");
-        let _ = writeln!(out, "cp_repl_lag_records {}", self.repl_lag_records.get());
-        out.push_str("# TYPE cp_repl_resync_total counter\n");
-        let _ = writeln!(out, "cp_repl_resync_total {}", self.repl_resync_total.get());
-        out.push_str("# TYPE cp_repl_resync_records_total counter\n");
-        let _ =
-            writeln!(out, "cp_repl_resync_records_total {}", self.repl_resync_records_total.get());
-        out.push_str("# TYPE cp_repl_slow_demotions_total counter\n");
-        let _ =
-            writeln!(out, "cp_repl_slow_demotions_total {}", self.repl_slow_demotions_total.get());
-        out.push_str("# TYPE cp_repl_bootstrap_hints_total counter\n");
-        let _ = writeln!(
-            out,
-            "cp_repl_bootstrap_hints_total {}",
-            self.repl_bootstrap_hints_total.get()
-        );
-        out.push_str("# TYPE cp_repl_bootstrap_total counter\n");
-        let _ = writeln!(out, "cp_repl_bootstrap_total {}", self.repl_bootstrap_total.get());
-        out.push_str("# TYPE cp_repl_ack_stall_max_micros gauge\n");
-        let _ =
-            writeln!(out, "cp_repl_ack_stall_max_micros {}", self.repl_ack_stall_max_micros.get());
-        out.push_str("# TYPE cp_repl_ack_micros histogram\n");
-        if self.repl_ack_micros.count() > 0 {
-            for (bound, cumulative) in self.repl_ack_micros.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ = writeln!(out, "cp_repl_ack_micros_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "cp_repl_ack_micros_sum {}", self.repl_ack_micros.sum_micros());
-            let _ = writeln!(out, "cp_repl_ack_micros_count {}", self.repl_ack_micros.count());
-        }
-        out.push_str("# TYPE cp_failover_total counter\n");
-        let _ = writeln!(out, "cp_failover_total {}", self.failover_total.get());
-        out.push_str("# TYPE cp_route_read_failover_total counter\n");
-        let _ =
-            writeln!(out, "cp_route_read_failover_total {}", self.route_read_failover_total.get());
-        out.push_str("# TYPE cp_route_resyncs_observed gauge\n");
-        let _ = writeln!(out, "cp_route_resyncs_observed {}", self.route_resyncs_observed.get());
-        out.push_str("# TYPE cp_route_max_ack_stall_micros gauge\n");
-        let _ = writeln!(
-            out,
-            "cp_route_max_ack_stall_micros {}",
-            self.route_max_ack_stall_micros.get()
-        );
-        out.push_str("# TYPE cp_crawl_frontier_depth gauge\n");
-        let _ = writeln!(out, "cp_crawl_frontier_depth {}", self.crawl_frontier_depth.get());
-        out.push_str("# TYPE cp_crawl_visits_total counter\n");
-        let _ = writeln!(out, "cp_crawl_visits_total {}", self.crawl_visits_total.get());
-        out.push_str("# TYPE cp_crawl_discovered_total counter\n");
-        let _ = writeln!(out, "cp_crawl_discovered_total {}", self.crawl_discovered_total.get());
-        out.push_str("# TYPE cp_crawl_inconclusive_total counter\n");
-        let _ =
-            writeln!(out, "cp_crawl_inconclusive_total {}", self.crawl_inconclusive_total.get());
-        out.push_str("# TYPE cp_crawl_backoff_total counter\n");
-        let _ = writeln!(out, "cp_crawl_backoff_total {}", self.crawl_backoff_total.get());
-        out.push_str("# TYPE cp_crawl_unknown_host_total counter\n");
-        let _ =
-            writeln!(out, "cp_crawl_unknown_host_total {}", self.crawl_unknown_host_total.get());
-        out.push_str("# TYPE cp_crawl_expired_marks_total counter\n");
-        let _ =
-            writeln!(out, "cp_crawl_expired_marks_total {}", self.crawl_expired_marks_total.get());
-        out.push_str("# TYPE cp_crawl_revisit_lag_ticks histogram\n");
-        if self.crawl_revisit_lag.count() > 0 {
-            for (bound, cumulative) in self.crawl_revisit_lag.snapshot() {
-                let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
-                let _ =
-                    writeln!(out, "cp_crawl_revisit_lag_ticks_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(
-                out,
-                "cp_crawl_revisit_lag_ticks_sum {}",
-                self.crawl_revisit_lag.sum_micros()
-            );
-            let _ = writeln!(
-                out,
-                "cp_crawl_revisit_lag_ticks_count {}",
-                self.crawl_revisit_lag.count()
-            );
-        }
-        out.push_str("# TYPE cp_recovery_records_replayed gauge\n");
-        let _ =
-            writeln!(out, "cp_recovery_records_replayed {}", self.recovery_records_replayed.get());
-        out.push_str("# TYPE cp_recovery_torn_tail_bytes gauge\n");
-        let _ =
-            writeln!(out, "cp_recovery_torn_tail_bytes {}", self.recovery_torn_tail_bytes.get());
         out
     }
+}
+
+/// One row of the family table: a family's name, label key, label values
+/// and series. Each constructor is one rendering rule.
+struct Family<'a> {
+    name: &'static str,
+    /// Label key; empty for an unlabeled family.
+    key: &'static str,
+    /// One label value per rendered series, in order.
+    values: &'a [&'static str],
+    series: Series<'a>,
+}
+
+/// A family's series, indexed like its label values. The variant is the
+/// Prometheus type.
+enum Series<'a> {
+    Counters(&'a [Counter]),
+    Gauges(&'a [Gauge]),
+    /// Histograms follow the idle rule: one without observations renders
+    /// no sample lines.
+    Histograms(&'a [Histogram]),
+}
+
+impl<'a> Family<'a> {
+    fn unlabeled(name: &'static str, series: Series<'a>) -> Self {
+        Family { name, key: "", values: &[""], series }
+    }
+
+    /// An unlabeled counter, always rendered.
+    fn counter(name: &'static str, counter: &'a Counter) -> Self {
+        Self::unlabeled(name, Series::Counters(std::slice::from_ref(counter)))
+    }
+
+    /// An unlabeled gauge, always rendered.
+    fn gauge(name: &'static str, gauge: &'a Gauge) -> Self {
+        Self::unlabeled(name, Series::Gauges(std::slice::from_ref(gauge)))
+    }
+
+    /// An unlabeled histogram, rendered once observed.
+    fn histogram(name: &'static str, histogram: &'a Histogram) -> Self {
+        Self::unlabeled(name, Series::Histograms(std::slice::from_ref(histogram)))
+    }
+
+    /// A fixed-label counter family: every value renders, zeros included.
+    fn labeled(name: &'static str, key: &'static str, counter: &'a LabeledCounter) -> Self {
+        Family { name, key, values: counter.values, series: Series::Counters(&counter.counters) }
+    }
+
+    /// One series per [`Endpoint`], labeled `key`.
+    fn per_endpoint(name: &'static str, key: &'static str, series: Series<'a>) -> Self {
+        Family { name, key, values: &Endpoint::LABELS, series }
+    }
+
+    /// One series per follower slot in use: the first `peers` of `series`.
+    fn first_peers(name: &'static str, peers: usize, series: Series<'a>) -> Self {
+        Family { name, key: "peer", values: &PEER_LABELS[..peers], series }
+    }
+
+    /// Writes the `# TYPE` line, then each series' sample lines.
+    fn render(&self, out: &mut String) {
+        let kind = match self.series {
+            Series::Counters(_) => "counter",
+            Series::Gauges(_) => "gauge",
+            Series::Histograms(_) => "histogram",
+        };
+        let _ = writeln!(out, "# TYPE {} {kind}", self.name);
+        for (i, value) in self.values.iter().enumerate() {
+            let label = if self.key.is_empty() {
+                String::new()
+            } else {
+                format!("{}=\"{value}\"", self.key)
+            };
+            match self.series {
+                Series::Counters(c) => write_sample(out, self.name, &label, c[i].get()),
+                Series::Gauges(g) => write_sample(out, self.name, &label, g[i].get()),
+                Series::Histograms(h) => write_histogram(out, self.name, &label, &h[i]),
+            }
+        }
+    }
+}
+
+/// Writes one sample line, `name{labels} value` (no braces when `labels`
+/// is empty).
+fn write_sample(out: &mut String, name: &str, labels: &str, value: impl Display) {
+    if labels.is_empty() {
+        let _ = writeln!(out, "{name} {value}");
+    } else {
+        let _ = writeln!(out, "{name}{{{labels}}} {value}");
+    }
+}
+
+/// Writes a histogram's cumulative `_bucket` lines, `_sum` and `_count` —
+/// or nothing while it has no observations.
+fn write_histogram(out: &mut String, name: &str, label: &str, histogram: &Histogram) {
+    if histogram.count() == 0 {
+        return;
+    }
+    let bucket = format!("{name}_bucket");
+    let sep = if label.is_empty() { "" } else { "," };
+    for (bound, cumulative) in histogram.snapshot() {
+        let le = if bound == u64::MAX { "+Inf".to_string() } else { bound.to_string() };
+        write_sample(out, &bucket, &format!("{label}{sep}le=\"{le}\""), cumulative);
+    }
+    write_sample(out, &format!("{name}_sum"), label, histogram.sum_micros());
+    write_sample(out, &format!("{name}_count"), label, histogram.count());
 }
 
 /// Parses a counter value out of a Prometheus exposition, e.g.
@@ -832,20 +599,29 @@ mod tests {
         m.record(Endpoint::Visit, 200, 500);
         m.record(Endpoint::Visit, 400, 100);
         m.record(Endpoint::Classify, 500, 100);
-        assert_eq!(m.endpoint(Endpoint::Visit).requests.get(), 2);
-        assert_eq!(m.responses_2xx.get(), 1);
-        assert_eq!(m.responses_4xx.get(), 1);
-        assert_eq!(m.responses_5xx.get(), 1);
-        assert_eq!(m.endpoint(Endpoint::Visit).latency.count(), 2);
+        assert_eq!(m.requests[Endpoint::Visit.index()].get(), 2);
+        assert_eq!(m.responses.get("2xx"), 1);
+        assert_eq!(m.responses.get("4xx"), 1);
+        assert_eq!(m.responses.get("5xx"), 1);
+        assert_eq!(m.request_micros[Endpoint::Visit.index()].count(), 2);
+    }
+
+    #[test]
+    fn endpoint_index_is_its_position_in_all() {
+        for (i, endpoint) in Endpoint::ALL.into_iter().enumerate() {
+            assert_eq!(endpoint.index(), i);
+        }
+        assert_eq!(Endpoint::Visit.label(), "visit");
+        assert_eq!(Endpoint::Other.label(), "other");
     }
 
     #[test]
     fn prometheus_text_is_scrapable() {
         let m = ServiceMetrics::new();
         m.record(Endpoint::Healthz, 200, 42);
-        m.record_verdict(true);
-        m.record_verdict(false);
-        m.record_verdict(false);
+        m.decisions.inc("useful");
+        m.decisions.inc("noise");
+        m.decisions.inc("noise");
         m.queue_depth.set(3);
         let text = m.render_prometheus();
         assert_eq!(scrape_counter(&text, "cp_requests_total{endpoint=\"healthz\"}"), Some(1));
@@ -853,13 +629,11 @@ mod tests {
         assert_eq!(scrape_counter(&text, "cp_decisions_total{verdict=\"useful\"}"), Some(1));
         assert_eq!(scrape_counter(&text, "cp_decisions_total{verdict=\"noise\"}"), Some(2));
         assert_eq!(scrape_counter(&text, "cp_queue_depth"), Some(3));
-        assert!(
-            text.contains("cp_request_duration_micros_bucket{endpoint=\"healthz\",le=\"100\"} 1")
-        );
+        assert!(text.contains("cp_request_micros_bucket{route=\"healthz\",le=\"64\"} 1"));
         assert!(text.contains("le=\"+Inf\""));
         assert_eq!(scrape_counter(&text, "nope"), None);
         // Idle endpoints emit no histogram series.
-        assert!(!text.contains("cp_request_duration_micros_count{endpoint=\"visit\"}"));
+        assert!(!text.contains("cp_request_micros_count{route=\"visit\"}"));
     }
 
     #[test]
@@ -873,9 +647,9 @@ mod tests {
 
         m.detection.observe(3);
         m.detection.observe(100);
-        m.record_cache(true);
-        m.record_cache(false);
-        m.record_cache(false);
+        m.analysis_cache.inc("hit");
+        m.analysis_cache.inc("miss");
+        m.analysis_cache.inc("miss");
         let text = m.render_prometheus();
         assert!(text.contains("cp_detection_micros_bucket{le=\"4\"} 1"));
         assert!(text.contains("cp_detection_micros_bucket{le=\"+Inf\"} 2"));
@@ -903,43 +677,28 @@ mod tests {
             assert_eq!(scrape_counter(&empty, &series), Some(0), "{series}");
         }
         assert_eq!(scrape_counter(&empty, "cp_retry_total"), Some(0));
-        assert_eq!(scrape_counter(&empty, "cp_deadline_exceeded_total"), Some(0));
 
-        m.record_hidden_fetch("ok");
-        m.record_hidden_fetch("ok");
-        m.record_hidden_fetch("truncated");
-        m.record_hidden_fetch("bogus"); // unknown labels are ignored
-        m.record_inconclusive("server_error");
-        m.record_conn_closed("timeout");
-        m.record_conn_closed("shed");
+        m.hidden_fetch.inc("ok");
+        m.hidden_fetch.inc("ok");
+        m.hidden_fetch.inc("truncated");
+        m.hidden_fetch.inc("bogus"); // unknown labels are ignored
+        m.probe_inconclusive.inc("server_error");
+        m.conn_closed.inc("timeout");
+        m.conn_closed.inc("shed");
         m.retry_total.inc();
         let text = m.render_prometheus();
         assert_eq!(scrape_counter(&text, "cp_hidden_fetch_total{result=\"ok\"}"), Some(2));
         assert_eq!(scrape_counter(&text, "cp_hidden_fetch_total{result=\"truncated\"}"), Some(1));
-        assert_eq!(m.hidden_fetch_count("ok"), 2);
-        assert_eq!(m.hidden_fetch_count("bogus"), 0);
+        assert_eq!(m.hidden_fetch.get("ok"), 2);
+        assert_eq!(m.hidden_fetch.get("bogus"), 0);
+        assert_eq!(m.hidden_fetch.total(), 3);
         assert_eq!(
             scrape_counter(&text, "cp_probe_inconclusive_total{reason=\"server_error\"}"),
             Some(1)
         );
         assert_eq!(scrape_counter(&text, "cp_conn_closed_total{cause=\"timeout\"}"), Some(1));
-        assert_eq!(m.conn_closed_count("shed"), 1);
+        assert_eq!(m.conn_closed.get("shed"), 1);
         assert_eq!(scrape_counter(&text, "cp_retry_total"), Some(1));
-    }
-
-    #[test]
-    fn detection_deadline_counts_overruns_only() {
-        let m = ServiceMetrics::new();
-        // Default deadline is off: nothing can exceed u64::MAX.
-        m.record_detection(u64::MAX - 1);
-        assert_eq!(m.deadline_exceeded_total.get(), 0);
-        m.set_detection_deadline_micros(1_000);
-        m.record_detection(999);
-        m.record_detection(1_000); // at the deadline is still on time
-        m.record_detection(1_001);
-        m.record_detection(50_000);
-        assert_eq!(m.deadline_exceeded_total.get(), 2);
-        assert_eq!(m.detection.count(), 5);
     }
 
     #[test]
@@ -962,12 +721,12 @@ mod tests {
 
         m.wal_records_total.add(5);
         m.wal_fsync.observe(40);
-        m.record_snapshot(true);
-        m.record_snapshot(true);
-        m.record_snapshot(false);
-        m.record_wal_fault("torn_write");
-        m.record_wal_fault("enospc");
-        m.record_wal_fault("bogus"); // unknown kinds are ignored
+        m.snapshot.inc("ok");
+        m.snapshot.inc("ok");
+        m.snapshot.inc("error");
+        m.wal_faults.inc("torn_write");
+        m.wal_faults.inc("enospc");
+        m.wal_faults.inc("bogus"); // unknown kinds are ignored
         m.recovery_records_replayed.set(17);
         m.recovery_torn_tail_bytes.set(3);
         let text = m.render_prometheus();
@@ -975,10 +734,10 @@ mod tests {
         assert_eq!(scrape_counter(&text, "cp_wal_fsync_micros_count"), Some(1));
         assert_eq!(scrape_counter(&text, "cp_snapshot_total{result=\"ok\"}"), Some(2));
         assert_eq!(scrape_counter(&text, "cp_snapshot_total{result=\"error\"}"), Some(1));
-        assert_eq!(m.snapshot_count("ok"), 2);
-        assert_eq!(m.snapshot_count("error"), 1);
+        assert_eq!(m.snapshot.get("ok"), 2);
+        assert_eq!(m.snapshot.get("error"), 1);
         assert_eq!(scrape_counter(&text, "cp_wal_faults_total{kind=\"torn_write\"}"), Some(1));
-        assert_eq!(m.wal_fault_total(), 2);
+        assert_eq!(m.wal_faults.total(), 2);
         assert_eq!(scrape_counter(&text, "cp_recovery_records_replayed"), Some(17));
         assert_eq!(scrape_counter(&text, "cp_recovery_torn_tail_bytes"), Some(3));
     }
@@ -1016,7 +775,7 @@ mod tests {
         assert_eq!(scrape_counter(&text, "cp_repl_records_total{peer=\"0\"}"), Some(2));
         assert_eq!(scrape_counter(&text, "cp_repl_records_total{peer=\"1\"}"), Some(1));
         assert!(!text.contains("cp_repl_records_total{peer=\"2\"}"));
-        assert_eq!(m.repl_records_count(0), 2);
+        assert_eq!(m.repl_records[0].get(), 2);
         assert_eq!(scrape_counter(&text, "cp_repl_lag_records"), Some(3));
         assert_eq!(scrape_counter(&text, "cp_repl_ack_micros_count"), Some(1));
         assert_eq!(scrape_counter(&text, "cp_repl_peer_up{peer=\"0\"}"), Some(1));
@@ -1036,7 +795,7 @@ mod tests {
         // count is capped to the rendered range.
         m.set_repl_peers(64);
         m.record_repl_ship(63);
-        assert_eq!(m.repl_records_count(MAX_REPL_PEERS - 1), 1);
+        assert_eq!(m.repl_records[MAX_REPL_PEERS - 1].get(), 1);
         let text = m.render_prometheus();
         assert!(text.contains("cp_repl_records_total{peer=\"7\"}"));
         assert!(!text.contains("cp_repl_records_total{peer=\"8\"}"));
@@ -1106,10 +865,7 @@ mod tests {
         assert!(text.contains("cp_request_micros_bucket{route=\"healthz\",le=\"8\"} 1"));
         assert!(text.contains("cp_request_micros_count{route=\"healthz\"} 2"));
         assert!(!text.contains("cp_request_micros_count{route=\"visit\"}"));
-        assert_eq!(m.request_micros(Endpoint::Healthz).count(), 2);
-        // record() feeds both the legacy duration histogram and the new
-        // pow2 one.
-        assert_eq!(m.endpoint(Endpoint::Healthz).latency.count(), 2);
+        assert_eq!(m.request_micros[Endpoint::Healthz.index()].count(), 2);
     }
 
     #[test]
@@ -1137,6 +893,6 @@ mod tests {
             assert!((scraped - native).abs() < 1e-9, "q={q}: {scraped} vs {native}");
         }
         assert_eq!(quantile_from_buckets(&[], 0.5), 0.0);
-        assert!(scrape_histogram(&text, "cp_request_duration_micros").is_empty());
+        assert!(scrape_histogram(&text, "cp_site_derive_micros").is_empty());
     }
 }

@@ -495,7 +495,7 @@ fn accept_loop(shared: &RouterShared, listener: &TcpListener, tx: &SyncSender<Tc
             Ok(()) => shared.metrics.queue_depth.inc(),
             Err(TrySendError::Full(mut stream)) => {
                 shared.metrics.rejected_total.inc();
-                shared.metrics.record_conn_closed("shed");
+                shared.metrics.conn_closed.inc("shed");
                 let body = br#"{"error":"router overloaded"}"#;
                 let _ = write_response(
                     &mut stream,
@@ -538,11 +538,11 @@ fn handle_connection(
         let request = match conn.read_request() {
             Ok(request) => request,
             Err(HttpError::Closed) => {
-                shared.metrics.record_conn_closed("client");
+                shared.metrics.conn_closed.inc("client");
                 return;
             }
             Err(HttpError::Io(_)) => {
-                shared.metrics.record_conn_closed("error");
+                shared.metrics.conn_closed.inc("error");
                 return;
             }
             Err(err) => {
@@ -556,7 +556,7 @@ fn handle_connection(
                     body.as_bytes(),
                     false,
                 );
-                shared.metrics.record_conn_closed("error");
+                shared.metrics.conn_closed.inc("error");
                 return;
             }
         };
@@ -575,11 +575,11 @@ fn handle_connection(
         )
         .is_ok();
         if !write_ok {
-            shared.metrics.record_conn_closed("write_failed");
+            shared.metrics.conn_closed.inc("write_failed");
             return;
         }
         if !keep_alive {
-            shared.metrics.record_conn_closed(if draining { "drain" } else { "client" });
+            shared.metrics.conn_closed.inc(if draining { "drain" } else { "client" });
             return;
         }
     }

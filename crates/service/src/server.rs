@@ -80,10 +80,6 @@ pub struct ServeConfig {
     /// default) disables fault injection entirely — the fault-free path
     /// is byte-identical to a build without chaos.
     pub chaos_fault_rate: f64,
-    /// When set, detections slower than this bump
-    /// `cp_deadline_exceeded_total` (observability only — the result is
-    /// still served).
-    pub detection_deadline: Option<Duration>,
     /// When set, the training store is durable: per-shard WALs and
     /// snapshots live under this directory and are recovered on start.
     pub data_dir: Option<PathBuf>,
@@ -136,7 +132,6 @@ impl Default for ServeConfig {
             picker: CookiePickerConfig::default(),
             cache_capacity: 512,
             chaos_fault_rate: 0.0,
-            detection_deadline: None,
             data_dir: None,
             fsync: FsyncPolicy::default(),
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
@@ -326,9 +321,6 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         world.set_chaos(Some(chaos));
     }
     let metrics = Arc::new(ServiceMetrics::new());
-    if let Some(deadline) = config.detection_deadline {
-        metrics.set_detection_deadline_micros(deadline.as_micros().min(u64::MAX as u128) as u64);
-    }
     let durability = config.data_dir.as_ref().map(|dir| DurabilityConfig {
         dir: dir.clone(),
         fsync: config.fsync,
@@ -443,7 +435,7 @@ fn accept_loop(
             Ok(()) => shared.metrics.queue_depth.inc(),
             Err(TrySendError::Full(mut stream)) => {
                 shared.metrics.rejected_total.inc();
-                shared.metrics.record_conn_closed("shed");
+                shared.metrics.conn_closed.inc("shed");
                 let body = error_json("server overloaded");
                 let _ = write_response(
                     &mut stream,
@@ -484,7 +476,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, limits: Limits) {
             Ok(request) => request,
             Err(HttpError::Closed) => {
                 // Clean EOF on an idle keep-alive: the client hung up.
-                shared.metrics.record_conn_closed("client");
+                shared.metrics.conn_closed.inc("client");
                 return;
             }
             Err(HttpError::Io(e)) => {
@@ -494,12 +486,12 @@ fn handle_connection(shared: &Shared, stream: TcpStream, limits: Limits) {
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => "timeout",
                     _ => "error",
                 };
-                shared.metrics.record_conn_closed(cause);
+                shared.metrics.conn_closed.inc(cause);
                 return;
             }
             Err(HttpError::BodyTooLarge) => {
                 respond_error(shared, &mut conn, 413, "Payload Too Large", "body too large");
-                shared.metrics.record_conn_closed("error");
+                shared.metrics.conn_closed.inc("error");
                 return;
             }
             Err(err) => {
@@ -507,7 +499,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, limits: Limits) {
                 // framing may be lost, so the connection cannot continue.
                 let msg = err.to_string();
                 respond_error(shared, &mut conn, 400, "Bad Request", &msg);
-                shared.metrics.record_conn_closed("error");
+                shared.metrics.conn_closed.inc("error");
                 return;
             }
         };
@@ -523,7 +515,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, limits: Limits) {
             write_response(conn.stream_mut(), status, reason, content_type, &body, keep_alive)
                 .is_ok();
         if !write_ok {
-            shared.metrics.record_conn_closed("write_failed");
+            shared.metrics.conn_closed.inc("write_failed");
             return;
         }
         if !keep_alive {
@@ -534,7 +526,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, limits: Limits) {
             } else {
                 "error" // 5xx: close so the peer re-syncs on a fresh conn
             };
-            shared.metrics.record_conn_closed(cause);
+            shared.metrics.conn_closed.inc(cause);
             return;
         }
     }
@@ -667,13 +659,14 @@ fn classify(shared: &Shared, body: &[u8]) -> Routed {
     // comparable to the uncached path's parse-to-verdict measurement.
     let started = Instant::now();
     let (analysis_regular, hit) = shared.cache.get_or_analyze(regular, config.compare_from_body);
-    shared.metrics.record_cache(hit);
+    shared.metrics.analysis_cache.inc(if hit { "hit" } else { "miss" });
     let (analysis_hidden, hit) = shared.cache.get_or_analyze(hidden, config.compare_from_body);
-    shared.metrics.record_cache(hit);
+    shared.metrics.analysis_cache.inc(if hit { "hit" } else { "miss" });
     let mut decision = decide_analyzed(&analysis_regular, &analysis_hidden, &config);
     decision.detection_micros = started.elapsed().as_micros() as u64;
-    shared.metrics.record_detection(decision.detection_micros);
-    shared.metrics.record_verdict(decision.cookies_caused_difference);
+    shared.metrics.detection.observe(decision.detection_micros);
+    let verdict = if decision.cookies_caused_difference { "useful" } else { "noise" };
+    shared.metrics.decisions.inc(verdict);
     let body = decision.to_json().to_compact().into_bytes();
     (Endpoint::Classify, 200, "OK", "application/json", body)
 }
@@ -702,7 +695,7 @@ fn visit(shared: &Shared, body: &[u8]) -> Routed {
     if !shared.world.contains(host) {
         // Count the rejection: crawlers watch cp_site_derive_total
         // {result="unknown"} to notice they are probing a stale frontier.
-        shared.metrics.record_site_derive("unknown", None);
+        shared.metrics.site_derive.inc("unknown");
         return (Endpoint::Visit, 404, "Not Found", "application/json", error_json("unknown host"));
     }
     let path = parsed.get("path").and_then(Json::as_str).unwrap_or("/");
@@ -740,7 +733,8 @@ fn visit(shared: &Shared, body: &[u8]) -> Routed {
         }
     };
     if let Some(record) = &outcome.record {
-        shared.metrics.record_verdict(record.decision.cookies_caused_difference);
+        let verdict = if record.decision.cookies_caused_difference { "useful" } else { "noise" };
+        shared.metrics.decisions.inc(verdict);
     }
     (Endpoint::Visit, 200, "OK", "application/json", outcome.to_compact_json().into_bytes())
 }
@@ -766,7 +760,7 @@ fn expire(shared: &Shared, body: &[u8]) -> Routed {
         None => return bad_request(Endpoint::Expire, "body needs an array field cookies"),
     };
     if !shared.world.contains(host) {
-        shared.metrics.record_site_derive("unknown", None);
+        shared.metrics.site_derive.inc("unknown");
         return (
             Endpoint::Expire,
             404,
@@ -1038,8 +1032,8 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let (client, error) = (
-                server.metrics().conn_closed_count("client"),
-                server.metrics().conn_closed_count("error"),
+                server.metrics().conn_closed.get("client"),
+                server.metrics().conn_closed.get("error"),
             );
             if client >= 1 && error >= 1 {
                 break;

@@ -194,7 +194,7 @@ impl<F: StorageFile> FaultFile<F> {
     }
 
     fn record(&self, kind: StorageFaultKind) {
-        self.metrics.record_wal_fault(kind.label());
+        self.metrics.wal_faults.inc(kind.label());
     }
 
     /// Best-effort write of all of `buf` to the inner file (used to
@@ -316,7 +316,7 @@ mod tests {
         write_all(&mut f, b"clean").unwrap();
         f.sync().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"clean");
-        assert_eq!(metrics.wal_fault_total(), 0);
+        assert_eq!(metrics.wal_faults.total(), 0);
     }
 
     #[test]
@@ -340,7 +340,7 @@ mod tests {
                 });
             }
             std::fs::remove_file(&path).ok();
-            (outcomes, metrics.wal_fault_total())
+            (outcomes, metrics.wal_faults.total())
         };
         let (a, faults_a) = run(42);
         let (b, faults_b) = run(42);

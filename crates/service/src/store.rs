@@ -308,7 +308,7 @@ impl Durable {
         // storm. The next interval will try again.
         self.since_snapshot[idx].store(0, Ordering::Relaxed);
         let ok = self.checkpoint_shard(idx, entries, false).is_ok();
-        self.metrics.record_snapshot(ok);
+        self.metrics.snapshot.inc(if ok { "ok" } else { "error" });
     }
 }
 
@@ -657,7 +657,7 @@ impl ShardedStore {
                 // truncate its WAL — the old log belongs to a lineage this
                 // node just abandoned.
                 let ok = durable.checkpoint_shard(idx, &shard, false).is_ok();
-                durable.metrics.record_snapshot(ok);
+                durable.metrics.snapshot.inc(if ok { "ok" } else { "error" });
                 durable.since_snapshot[idx].store(0, Ordering::Relaxed);
             }
         }
@@ -715,7 +715,7 @@ impl ShardedStore {
         for idx in 0..self.shards.len() {
             let shard = self.shards[idx].read();
             let result = durable.checkpoint_shard(idx, &shard, true);
-            durable.metrics.record_snapshot(result.is_ok());
+            durable.metrics.snapshot.inc(if result.is_ok() { "ok" } else { "error" });
             if result.is_ok() {
                 durable.since_snapshot[idx].store(0, Ordering::Relaxed);
             } else if first_err.is_none() {
@@ -1017,7 +1017,7 @@ mod tests {
         let marks = store.marks();
         let summary = store.read_entry("s0.example", |e| e.summary("s0.example")).unwrap();
         store.checkpoint().unwrap();
-        assert_eq!(metrics.snapshot_count("ok"), 2, "one snapshot per shard");
+        assert_eq!(metrics.snapshot.get("ok"), 2, "one snapshot per shard");
         drop(store);
         let metrics = Arc::new(ServiceMetrics::new());
         let (reopened, stats) =
@@ -1061,7 +1061,7 @@ mod tests {
                 .unwrap();
             let _ = i;
         }
-        assert_eq!(metrics.snapshot_count("ok"), 2, "9 events at interval 4 → 2 checkpoints");
+        assert_eq!(metrics.snapshot.get("ok"), 2, "9 events at interval 4 → 2 checkpoints");
     }
 
     #[test]

@@ -811,7 +811,7 @@ mod tests {
                 clean.append(&event).unwrap();
             }
         }
-        assert!(metrics.wal_fault_total() > 0, "40% fault rate over 200 appends must fire");
+        assert!(metrics.wal_faults.total() > 0, "40% fault rate over 200 appends must fire");
         assert!(acked > 0, "8 retries at 40% rate ack almost everything");
         let faulted = read_log(&faulted_path).unwrap();
         let clean = read_log(&clean_path).unwrap();

@@ -404,10 +404,10 @@ impl EmbeddedWorld {
     /// derivations).
     pub fn site_recorded(&self, host: &str, metrics: &ServiceMetrics) -> Option<Arc<DerivedSite>> {
         let (site, outcome, micros) = self.cache.get_or_derive(&self.universe, host);
-        metrics.record_site_derive(
-            outcome.label(),
-            (outcome == DeriveOutcome::Miss).then_some(micros),
-        );
+        metrics.site_derive.inc(outcome.label());
+        if outcome == DeriveOutcome::Miss {
+            metrics.site_derive_micros.observe(micros);
+        }
         site
     }
 
@@ -516,8 +516,8 @@ impl EmbeddedWorld {
                 }
                 if let Some(kind) = fate {
                     let (result, reason) = fault_labels(&kind);
-                    metrics.record_hidden_fetch(result);
-                    metrics.record_inconclusive(reason);
+                    metrics.hidden_fetch.inc(result);
+                    metrics.probe_inconclusive.inc(reason);
                     return Some((
                         VisitEvent { host: host.to_string(), observed, kind: EventKind::Defer },
                         VisitPlan {
@@ -530,7 +530,7 @@ impl EmbeddedWorld {
                     ));
                 }
             }
-            metrics.record_hidden_fetch("ok");
+            metrics.hidden_fetch.inc("ok");
             let regular = self.render(spec, path, &sent, REGULAR_SALT);
             // Steps 2–3: the hidden request strips the group's cookies and
             // builds the hidden DOM with the same parser.
@@ -543,12 +543,12 @@ impl EmbeddedWorld {
             let detection_started = Instant::now();
             let (analysis_regular, hit) =
                 analyses.get_or_analyze(&regular, config.compare_from_body);
-            metrics.record_cache(hit);
+            metrics.analysis_cache.inc(if hit { "hit" } else { "miss" });
             let (analysis_hidden, hit) = analyses.get_or_analyze(&hidden, config.compare_from_body);
-            metrics.record_cache(hit);
+            metrics.analysis_cache.inc(if hit { "hit" } else { "miss" });
             let mut decision = decide_analyzed(&analysis_regular, &analysis_hidden, config);
             decision.detection_micros = detection_started.elapsed().as_micros() as u64;
-            metrics.record_detection(decision.detection_micros);
+            metrics.detection.observe(decision.detection_micros);
 
             let marking = decision.cookies_caused_difference;
             let detection_micros = decision.detection_micros;
@@ -891,7 +891,7 @@ mod tests {
         let zero = drive(&EmbeddedWorld::with_chaos(7, ChaosConfig::uniform(99, 0.0)), 2);
         assert_eq!(plain.0, zero.0, "rate 0.0 must not perturb a single decision");
         assert_eq!(zero.1, 0);
-        assert_eq!(zero.2.hidden_fetch_count("ok"), plain.2.hidden_fetch_count("ok"));
+        assert_eq!(zero.2.hidden_fetch.get("ok"), plain.2.hidden_fetch.get("ok"));
     }
 
     #[test]

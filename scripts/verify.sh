@@ -11,8 +11,14 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
+cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
+
+# The benchmark harness builds against cp-serve's public API in its own
+# workspace: testing it here makes an API change that breaks the
+# benchmark fail verification instead of the benchmark run.
+cargo test --manifest-path perfbench/harness/Cargo.toml
 
 # Serve smoke: a short multi-connection loadgen run against the readiness
 # loop — gates on zero 5xx and an exact client/server counter match.
@@ -48,4 +54,4 @@ SMOKE=1 ./scripts/bench_crawl.sh
 # must be demoted within the ack deadline instead of blocking writes.
 SMOKE=1 ./scripts/cluster.sh
 
-echo "verify: fmt + build + tests + serve smoke + detect smoke + world smoke + chaos smoke + crash smoke + crawl smoke + cluster smoke passed offline"
+echo "verify: fmt + clippy + build + tests + harness tests + serve smoke + detect smoke + world smoke + chaos smoke + crash smoke + crawl smoke + cluster smoke passed offline"

@@ -297,24 +297,26 @@ where
             Ok(Command::Jar { path, site, summary })
         }
         "serve" => {
+            let defaults = cp_serve::ServeConfig::default();
+            // A well-known port, where the library binds any free one.
             let mut port = 7070u16;
-            let mut seed = 7u64;
-            let mut workers = 4usize;
-            let mut shards = 16usize;
-            let mut queue = 128usize;
-            let mut timeout_ms = 5_000u64;
-            let mut chaos_rate = 0.0f64;
+            let mut seed = defaults.seed;
+            let mut workers = defaults.workers;
+            let mut shards = defaults.shards;
+            let mut queue = defaults.queue_capacity;
+            let mut timeout_ms = defaults.read_timeout.as_millis() as u64;
+            let mut chaos_rate = defaults.chaos_fault_rate;
             let mut data_dir = None;
-            let mut fsync = cp_serve::FsyncPolicy::default();
-            let mut snapshot_every = cp_serve::store::DEFAULT_SNAPSHOT_EVERY;
-            let mut storage_fault_rate = 0.0f64;
-            let mut storage_fault_seed = 0u64;
-            let mut world = cp_serve::WorldKind::Table1;
-            let mut repl_port = None;
-            let mut repl_ack = cp_serve::ReplAckPolicy::default();
-            let mut repl_followers = Vec::new();
-            let mut repl_generation = 1u64;
-            let mut repl_backlog = cp_serve::replication::DEFAULT_BACKLOG_CAP;
+            let mut fsync = defaults.fsync;
+            let mut snapshot_every = defaults.snapshot_every;
+            let mut storage_fault_rate = defaults.storage_fault_rate;
+            let mut storage_fault_seed = defaults.storage_fault_seed;
+            let mut world = defaults.world;
+            let mut repl_port = defaults.repl_port;
+            let mut repl_ack = defaults.repl_ack;
+            let mut repl_followers = defaults.repl_followers;
+            let mut repl_generation = defaults.repl_generation;
+            let mut repl_backlog = defaults.repl_backlog;
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -419,13 +421,14 @@ where
             Ok(Command::ChaosProxy { listen, target, schedule, seed })
         }
         "route" => {
+            let defaults = cp_serve::RouterConfig::default();
+            // A well-known port, where the library binds any free one.
             let mut port = 7069u16;
             let mut backends = Vec::new();
-            let mut workers = 4usize;
-            let defaults = cp_serve::RouterConfig::default();
+            let mut workers = defaults.workers;
             let mut heartbeat_ms = defaults.heartbeat.as_millis() as u64;
             let mut miss_threshold = defaults.miss_threshold;
-            let mut ack = cp_serve::ReplAckPolicy::default();
+            let mut ack = defaults.ack;
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -484,18 +487,19 @@ where
             Ok(Command::Get { host, port, post, path })
         }
         "loadgen" => {
-            let mut host = "127.0.0.1".to_string();
-            let mut port = 0u16;
-            let mut threads = 4usize;
-            let mut connections = 1usize;
-            let mut requests = 10_000u64;
-            let mut seed = 7u64;
-            let mut hosts = None;
-            let mut zipf = 1.0f64;
+            let defaults = cp_serve::LoadgenConfig::default();
+            let mut host = defaults.host;
+            let mut port = defaults.port;
+            let mut threads = defaults.threads;
+            let mut connections = defaults.connections;
+            let mut requests = defaults.requests;
+            let mut seed = defaults.seed;
+            let mut hosts = defaults.hosts;
+            let mut zipf = defaults.zipf;
             let mut out = None;
             let mut marks_out = None;
-            let mut retries = 1u32;
-            let mut backoff_ms = 5u64;
+            let mut retries = defaults.retries;
+            let mut backoff_ms = defaults.backoff.as_millis() as u64;
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -544,19 +548,19 @@ where
             })
         }
         "crawl" => {
-            let mut world = cp_serve::WorldKind::Table1;
-            let mut seed = 7u64;
-            let mut workers = 4usize;
-            let mut ticks = None;
+            let defaults = cp_crawl::CrawlConfig::default();
+            let mut world = defaults.world;
+            let mut seed = defaults.seed;
+            let mut workers = defaults.workers;
+            let mut ticks = defaults.ticks;
             let mut duration_s = None;
             let mut ttl_s = None;
-            let retry_defaults = cookiepicker_core::RetryPolicy::default();
-            let mut retries = retry_defaults.max_retries;
-            let mut backoff_ms = retry_defaults.backoff.as_millis();
+            let mut retries = defaults.retry.max_retries;
+            let mut backoff_ms = defaults.retry.backoff.as_millis();
             let mut host = "127.0.0.1".to_string();
             let mut port = 0u16;
-            let mut max_hosts = None;
-            let mut extra_hosts = Vec::new();
+            let mut max_hosts = defaults.max_hosts;
+            let mut extra_hosts = defaults.extra_hosts;
             let mut out = None;
             let mut marks_out = None;
             let mut it = args[1..].iter();
@@ -1150,6 +1154,89 @@ mod tests {
         assert!(parse_args(["serve", "--bogus"]).is_err());
         assert!(parse_args(["serve", "--chaos-rate", "1.5"]).is_err(), "rate must be in [0, 1]");
         assert!(parse_args(["loadgen", "--threads", "2"]).is_err(), "loadgen requires --port");
+    }
+
+    #[test]
+    fn bare_subcommands_parse_to_the_library_defaults() {
+        let serve = cp_serve::ServeConfig::default();
+        assert_eq!(
+            parse_args(["serve"]).unwrap(),
+            Command::Serve {
+                port: 7070,
+                seed: serve.seed,
+                workers: serve.workers,
+                shards: serve.shards,
+                queue: serve.queue_capacity,
+                timeout_ms: serve.read_timeout.as_millis() as u64,
+                chaos_rate: serve.chaos_fault_rate,
+                data_dir: None,
+                fsync: serve.fsync,
+                snapshot_every: serve.snapshot_every,
+                storage_fault_rate: serve.storage_fault_rate,
+                storage_fault_seed: serve.storage_fault_seed,
+                world: serve.world,
+                repl_port: serve.repl_port,
+                repl_ack: serve.repl_ack,
+                repl_followers: serve.repl_followers,
+                repl_generation: serve.repl_generation,
+                repl_backlog: serve.repl_backlog,
+            }
+        );
+        assert_eq!(serve.read_timeout, serve.write_timeout, "--timeout-ms sets both");
+
+        let route = cp_serve::RouterConfig::default();
+        let backend = cp_serve::BackendAddr::parse("127.0.0.1:7070,127.0.0.1:7170").unwrap();
+        assert_eq!(
+            parse_args(["route", "--backend", "127.0.0.1:7070,127.0.0.1:7170"]).unwrap(),
+            Command::Route {
+                port: 7069,
+                backends: vec![backend],
+                workers: route.workers,
+                heartbeat_ms: route.heartbeat.as_millis() as u64,
+                miss_threshold: route.miss_threshold,
+                ack: route.ack,
+            }
+        );
+
+        let loadgen = cp_serve::LoadgenConfig::default();
+        assert_eq!(
+            parse_args(["loadgen", "--port", "7070"]).unwrap(),
+            Command::Loadgen {
+                host: loadgen.host,
+                port: 7070,
+                threads: loadgen.threads,
+                connections: loadgen.connections,
+                requests: loadgen.requests,
+                seed: loadgen.seed,
+                hosts: loadgen.hosts,
+                zipf: loadgen.zipf,
+                out: None,
+                marks_out: None,
+                retries: loadgen.retries,
+                backoff_ms: loadgen.backoff.as_millis() as u64,
+            }
+        );
+
+        let crawl = cp_crawl::CrawlConfig::default();
+        assert_eq!(
+            parse_args(["crawl"]).unwrap(),
+            Command::Crawl {
+                world: crawl.world,
+                seed: crawl.seed,
+                workers: crawl.workers,
+                ticks: crawl.ticks,
+                duration_s: None,
+                ttl_s: None,
+                retries: crawl.retry.max_retries,
+                backoff_ms: crawl.retry.backoff.as_millis(),
+                host: "127.0.0.1".into(),
+                port: 0,
+                max_hosts: crawl.max_hosts,
+                extra_hosts: crawl.extra_hosts,
+                out: None,
+                marks_out: None,
+            }
+        );
     }
 
     #[test]

@@ -312,7 +312,7 @@ fn full_queue_sheds_load_with_503() {
 fn await_close_cause(server: &ServerHandle, cause: &str, want: u64) {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let got = server.metrics().conn_closed_count(cause);
+        let got = server.metrics().conn_closed.get(cause);
         if got >= want {
             return;
         }
@@ -402,7 +402,7 @@ fn close_cause_metrics_cover_clean_and_shed_paths() {
     std::thread::sleep(Duration::from_millis(50));
     let mut shed = connect(&server);
     assert_eq!(shed.read_response().unwrap().status, 503);
-    assert_eq!(server.metrics().conn_closed_count("shed"), 1);
+    assert_eq!(server.metrics().conn_closed.get("shed"), 1);
 }
 
 #[test]

@@ -214,7 +214,7 @@ fn storage_faults_recover_exactly_the_acked_transactions() {
                 Err(_) => rejected += 1,
             }
         }
-        assert!(metrics.wal_fault_total() > 0, "seed {seed}: 30% fault rate must fire");
+        assert!(metrics.wal_faults.total() > 0, "seed {seed}: 30% fault rate must fire");
         let live = fingerprint(&store);
         assert_eq!(live, fingerprint(&shadow), "seed {seed}: failed appends must not apply");
         drop(store);
