@@ -35,8 +35,10 @@
 //! holds everything up to and including that event, so promoting the
 //! most-caught-up follower loses no acked write.
 //!
-//! A peer is never permanently dead. [`ship`](Replicator::ship) waits at
-//! most [`ACK_DEADLINE`] per peer: a stream that stays silent is demoted
+//! A peer is never permanently dead. [`ship`](Replicator::ship) writes
+//! each record to every live peer first, then collects their acks against
+//! one [`ACK_DEADLINE`] that covers them all, so a write waits once, for
+//! the slowest live peer. A stream still silent at the deadline is demoted
 //! to *catching-up* and fed from the backlog off the write path; a stream
 //! that errors goes *down* and is redialed with seeded jittered backoff by
 //! the maintenance thread ([`run_maintenance`]). Only *live* peers count
@@ -70,10 +72,12 @@ pub const HANDSHAKE_REPLY_BYTES: usize = 17;
 /// indistinguishable from a dead peer.
 const STREAM_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How long [`ship`](Replicator::ship) waits for one peer's ack before
-/// demoting it to catching-up. This bounds the stall one slow follower can
-/// add to a client write — the old behavior blocked the shard lock for
-/// [`STREAM_TIMEOUT`] (5 s) per stalled peer.
+/// How long [`ship`](Replicator::ship) waits for a record's acks, counted
+/// from its write to the last live peer. One deadline covers every live
+/// peer, and a peer still silent when it passes is demoted to
+/// catching-up, so stalled followers add at most this much to a client
+/// write, however many there are. It also bounds a live peer's blocked
+/// write.
 pub const ACK_DEADLINE: Duration = Duration::from_millis(250);
 
 /// Default capacity of the primary's in-memory record backlog — how far a
@@ -115,7 +119,10 @@ const BOOTSTRAP_REDIAL: Duration = Duration::from_millis(500);
 /// client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplAckPolicy {
-    /// Ship asynchronously; ack the client on the local append alone.
+    /// Ack the client on the local append alone. Records still go to the
+    /// live followers, and [`ship`](Replicator::ship) still waits up to
+    /// [`ACK_DEADLINE`] for their acks, but a missing ack never fails the
+    /// write.
     None,
     /// Ack once a majority of the cluster (primary included) holds the
     /// record — the smallest policy that survives any single node death.
@@ -393,6 +400,60 @@ struct Peer {
 }
 
 impl Peer {
+    /// A peer with no stream yet.
+    fn new(addr: String) -> Peer {
+        Peer {
+            addr,
+            stream: None,
+            state: PeerState::Down,
+            sent: 0,
+            acked: 0,
+            pending: 0,
+            ack_buf: [0u8; 8],
+            ack_filled: 0,
+            redial_at: Instant::now(),
+            attempts: 0,
+        }
+    }
+
+    /// Installs what [`establish`] or a backlog drain produced, against
+    /// backlog head `head`, and returns whether the peer went live. This
+    /// is the only way into [`PeerState::Live`]: a stream goes live when it
+    /// owes no acks and has been sent every record up to `head`, which the
+    /// caller checks under the replicator lock so no ship can slip in
+    /// between. Going live arms the ship path's write timeout: a blocked
+    /// send gives up after [`ACK_DEADLINE`] and the peer goes down (a
+    /// timed-out write leaves the frame torn mid-stream).
+    fn install(
+        &mut self,
+        idx: usize,
+        established: Established,
+        head: u64,
+        metrics: &ServiceMetrics,
+    ) -> bool {
+        let Established::Stream(job) = established else {
+            // Hinted: leave the peer alone while it installs the snapshot.
+            down_peer(self, idx, metrics);
+            self.attempts = 0;
+            self.redial_at = Instant::now() + BOOTSTRAP_REDIAL;
+            return false;
+        };
+        let live = job.pending == 0 && job.sent >= head;
+        if live {
+            job.stream.set_write_timeout(Some(ACK_DEADLINE)).ok();
+        }
+        self.state = if live { PeerState::Live } else { PeerState::CatchingUp };
+        self.stream = Some(job.stream);
+        self.sent = job.sent;
+        self.acked = job.acked;
+        self.pending = job.pending;
+        self.ack_buf = job.ack_buf;
+        self.ack_filled = job.ack_filled;
+        self.attempts = 0;
+        metrics.set_repl_peer_up(idx, true);
+        live
+    }
+
     fn status(&self) -> PeerStatus {
         PeerStatus {
             addr: self.addr.clone(),
@@ -438,12 +499,10 @@ impl std::fmt::Debug for Replicator {
 
 /// What establishing a stream to a follower produced.
 enum Established {
-    /// Stream handshaked and fully caught up.
-    Live(TcpStream, u64),
-    /// Stream handshaked; the gap was replayed from the backlog but new
-    /// ships may have raced ahead (`sent`, `acked`, `pending` say where
-    /// the stream is).
-    Behind { stream: TcpStream, sent: u64, acked: u64, pending: u64 },
+    /// Stream handshaked, with its gap replayed from the backlog as far as
+    /// the drain got; the job's cursor says where the stream is, and
+    /// [`Peer::install`] decides whether that is live.
+    Stream(DrainJob),
     /// The follower is beyond the backlog: it was sent a bootstrap hint
     /// and the stream was closed. Redial after the install window.
     Hinted,
@@ -467,45 +526,9 @@ impl Replicator {
         let mut peers = Vec::with_capacity(followers.len());
         for (idx, addr) in followers.iter().enumerate() {
             let established = establish(addr, generation, &advertise, &backlog, &metrics)?;
-            let peer = match established {
-                Established::Live(stream, seq) => Peer {
-                    addr: addr.clone(),
-                    stream: Some(stream),
-                    state: PeerState::Live,
-                    sent: seq,
-                    acked: seq,
-                    pending: 0,
-                    ack_buf: [0u8; 8],
-                    ack_filled: 0,
-                    redial_at: Instant::now(),
-                    attempts: 0,
-                },
-                Established::Behind { stream, sent, acked, pending } => Peer {
-                    addr: addr.clone(),
-                    stream: Some(stream),
-                    state: PeerState::CatchingUp,
-                    sent,
-                    acked,
-                    pending,
-                    ack_buf: [0u8; 8],
-                    ack_filled: 0,
-                    redial_at: Instant::now(),
-                    attempts: 0,
-                },
-                Established::Hinted => Peer {
-                    addr: addr.clone(),
-                    stream: None,
-                    state: PeerState::Down,
-                    sent: 0,
-                    acked: 0,
-                    pending: 0,
-                    ack_buf: [0u8; 8],
-                    ack_filled: 0,
-                    redial_at: Instant::now() + BOOTSTRAP_REDIAL,
-                    attempts: 0,
-                },
-            };
-            metrics.set_repl_peer_up(idx, peer.stream.is_some());
+            let head = backlog.lock().head();
+            let mut peer = Peer::new(addr.clone());
+            peer.install(idx, established, head, &metrics);
             peers.push(peer);
         }
         metrics.set_repl_peers(peers.len());
@@ -547,39 +570,45 @@ impl Replicator {
         self.inner.lock().peers.iter().map(Peer::status).collect()
     }
 
-    /// Ships one event to every live follower and waits up to
-    /// [`ACK_DEADLINE`] per peer for its ack. `Err` when fewer than the
-    /// policy's required acks landed — the caller must then *not*
-    /// acknowledge the write to its client (the event is applied locally
-    /// but unacked, exactly like a torn WAL tail: present on this node,
-    /// invisible to the contract). A peer that misses the deadline is
-    /// demoted to catching-up instead of holding the shard lock hostage.
+    /// Ships one event to every live follower. The record is written to
+    /// every live peer first, then their acks are collected against one
+    /// [`ACK_DEADLINE`] taken after the last write, so the write waits
+    /// once, for the slowest live peer, not once per peer. `Err` when
+    /// fewer than the policy's required acks landed — the caller must then
+    /// *not* acknowledge the write to its client (the event is applied
+    /// locally but unacked, exactly like a torn WAL tail: present on this
+    /// node, invisible to the contract). A peer still silent at the
+    /// deadline is demoted to catching-up instead of holding the shard
+    /// lock hostage.
     pub fn ship(&self, event: &VisitEvent) -> std::io::Result<()> {
-        let record = Arc::new(event.encode_record());
+        self.ship_record(event.encode_record())
+    }
+
+    /// [`ship`](Self::ship) for a record already framed by
+    /// [`VisitEvent::encode_record`].
+    pub(crate) fn ship_record(&self, record: Vec<u8>) -> std::io::Result<()> {
+        let record = Arc::new(record);
         let started = Instant::now();
         let mut inner = self.inner.lock();
         let head = self.backlog.lock().push(Arc::clone(&record));
+        for (idx, peer) in inner.peers.iter_mut().enumerate() {
+            if peer.state != PeerState::Live {
+                continue;
+            }
+            if peer.stream.as_mut().is_some_and(|s| s.write_all(&record).is_ok()) {
+                peer.sent = head;
+                peer.pending += 1;
+            } else {
+                down_peer(peer, idx, &self.metrics);
+            }
+        }
+        let deadline = Instant::now() + ACK_DEADLINE;
         let mut acks = 0usize;
         for (idx, peer) in inner.peers.iter_mut().enumerate() {
             if peer.state != PeerState::Live {
                 continue;
             }
-            let Some(stream) = peer.stream.as_mut() else {
-                down_peer(peer, idx, &self.metrics);
-                continue;
-            };
-            // A blocked send is bounded too: the socket buffer absorbs
-            // the frame or the peer is demoted via Down (a timed-out
-            // write leaves the frame torn mid-stream, so the stream
-            // cannot be kept).
-            stream.set_write_timeout(Some(ACK_DEADLINE)).ok();
-            if stream.write_all(&record).is_err() {
-                down_peer(peer, idx, &self.metrics);
-                continue;
-            }
-            peer.sent = head;
-            peer.pending += 1;
-            match harvest_acks(peer, Instant::now() + ACK_DEADLINE) {
+            match harvest_acks(peer, deadline) {
                 Ok(true) => {
                     acks += 1;
                     self.metrics.record_repl_ship(idx);
@@ -678,37 +707,13 @@ impl Replicator {
             return;
         }
         match established {
-            Ok(Established::Live(stream, seq)) => {
-                peer.stream = Some(stream);
-                peer.sent = seq;
-                peer.acked = seq;
-                peer.pending = 0;
-                peer.ack_filled = 0;
-                peer.attempts = 0;
+            Ok(established) => {
                 // Races with concurrent ships are settled under the lock:
                 // live only if nothing shipped since the replay finished.
                 let head = self.backlog.lock().head();
-                if seq >= head {
-                    peer.state = PeerState::Live;
+                if peer.install(idx, established, head, &self.metrics) {
                     self.metrics.repl_resync_total.inc();
-                } else {
-                    peer.state = PeerState::CatchingUp;
                 }
-                self.metrics.set_repl_peer_up(idx, true);
-            }
-            Ok(Established::Behind { stream, sent, acked, pending }) => {
-                peer.stream = Some(stream);
-                peer.sent = sent;
-                peer.acked = acked;
-                peer.pending = pending;
-                peer.ack_filled = 0;
-                peer.attempts = 0;
-                peer.state = PeerState::CatchingUp;
-                self.metrics.set_repl_peer_up(idx, true);
-            }
-            Ok(Established::Hinted) => {
-                peer.redial_at = Instant::now() + BOOTSTRAP_REDIAL;
-                peer.attempts = 0;
             }
             Err(_) => {
                 peer.attempts = peer.attempts.saturating_add(1);
@@ -725,60 +730,30 @@ impl Replicator {
         let outcome = job.drain(&self.backlog, &self.metrics);
         let mut inner = self.inner.lock();
         let peer = &mut inner.peers[idx];
-        peer.sent = job.sent;
         peer.acked = job.acked;
-        peer.pending = job.pending;
-        peer.ack_buf = job.ack_buf;
-        peer.ack_filled = job.ack_filled;
         match outcome {
             DrainOutcome::Progress => {
-                peer.stream = Some(job.stream);
                 // Close the race window: finish a small remaining gap
                 // under the lock (ships are briefly blocked), so the
                 // promotion cannot miss records shipped mid-drain.
-                let remaining = {
+                let (remaining, head) = {
                     let backlog = self.backlog.lock();
-                    backlog.range(peer.sent, FINAL_CHUNK + 1)
+                    (backlog.range(job.sent, FINAL_CHUNK + 1), backlog.head())
                 };
-                let head = self.backlog.lock().head();
-                if peer.sent + (remaining.len() as u64) >= head && remaining.len() <= FINAL_CHUNK {
-                    let mut ok = true;
-                    {
-                        let Peer { stream, sent, pending, .. } = &mut *peer;
-                        let stream = stream.as_mut().expect("installed above");
-                        stream.set_write_timeout(Some(ACK_DEADLINE)).ok();
-                        for (seq, record) in &remaining {
-                            if stream.write_all(record).is_err() {
-                                ok = false;
-                                break;
-                            }
-                            *sent = *seq;
-                            *pending += 1;
-                            self.metrics.repl_resync_records_total.inc();
-                        }
-                    }
-                    if !ok {
-                        down_peer(peer, idx, &self.metrics);
-                        return;
-                    }
-                    match harvest_acks(peer, Instant::now() + ACK_DEADLINE) {
-                        Ok(true) if peer.sent >= head => {
-                            peer.state = PeerState::Live;
-                            self.metrics.repl_resync_total.inc();
-                        }
-                        Ok(_) => {}
-                        Err(_) => down_peer(peer, idx, &self.metrics),
-                    }
+                let small_gap =
+                    job.sent + (remaining.len() as u64) >= head && remaining.len() <= FINAL_CHUNK;
+                if small_gap && job.finish(&remaining, &self.metrics).is_err() {
+                    down_peer(peer, idx, &self.metrics);
+                } else if peer.install(idx, Established::Stream(job), head, &self.metrics) {
+                    self.metrics.repl_resync_total.inc();
                 }
             }
             DrainOutcome::Overrun => {
                 // The ring no longer covers the peer's position (it was
                 // trimmed while the peer lagged): hint a bootstrap and
                 // drop to down; the redial probes the install.
-                let _ = send_bootstrap_hint(&mut job.stream, &self.advertise);
-                self.metrics.repl_bootstrap_hints_total.inc();
-                down_peer(peer, idx, &self.metrics);
-                peer.redial_at = Instant::now() + BOOTSTRAP_REDIAL;
+                let _ = send_bootstrap_hint(&mut job.stream, &self.advertise, &self.metrics);
+                peer.install(idx, Established::Hinted, 0, &self.metrics);
             }
             DrainOutcome::Dead => down_peer(peer, idx, &self.metrics),
         }
@@ -835,8 +810,9 @@ pub fn run_maintenance(replicator: Arc<Replicator>) {
     }
 }
 
-/// A catching-up peer's stream plus drain cursor, owned by the
-/// maintenance thread while the replicator lock is released.
+/// A stream plus its drain cursor: what [`establish`] hands to
+/// [`Peer::install`], and what the maintenance thread owns while it drains
+/// a catching-up peer with the replicator lock released.
 struct DrainJob {
     stream: TcpStream,
     sent: u64,
@@ -862,14 +838,7 @@ impl DrainJob {
             // Keep the in-flight window bounded so acks are read roughly
             // as fast as records are written.
             if self.pending > DRAIN_CHUNK as u64 {
-                match harvest_acks_raw(
-                    &mut self.stream,
-                    &mut self.ack_buf,
-                    &mut self.ack_filled,
-                    &mut self.pending,
-                    &mut self.acked,
-                    Instant::now() + STREAM_TIMEOUT,
-                ) {
+                match self.harvest(Instant::now() + STREAM_TIMEOUT) {
                     Ok(true) => {}
                     Ok(false) => return DrainOutcome::Progress,
                     Err(_) => return DrainOutcome::Dead,
@@ -884,15 +853,7 @@ impl DrainJob {
             };
             if chunk.is_empty() {
                 // Nothing left to send; settle outstanding acks.
-                let deadline = Instant::now() + ACK_DEADLINE;
-                return match harvest_acks_raw(
-                    &mut self.stream,
-                    &mut self.ack_buf,
-                    &mut self.ack_filled,
-                    &mut self.pending,
-                    &mut self.acked,
-                    deadline,
-                ) {
+                return match self.harvest(Instant::now() + ACK_DEADLINE) {
                     Ok(_) => DrainOutcome::Progress,
                     Err(_) => DrainOutcome::Dead,
                 };
@@ -906,6 +867,30 @@ impl DrainJob {
                 metrics.repl_resync_records_total.inc();
             }
         }
+    }
+
+    /// Sends the last few records of a drain and settles their acks while
+    /// the caller holds the replicator lock, so a blocked write gives up
+    /// after [`ACK_DEADLINE`], as a ship's does.
+    fn finish(
+        &mut self,
+        records: &[(u64, Arc<Vec<u8>>)],
+        metrics: &ServiceMetrics,
+    ) -> std::io::Result<()> {
+        self.stream.set_write_timeout(Some(ACK_DEADLINE))?;
+        for (seq, record) in records {
+            self.stream.write_all(record)?;
+            self.sent = *seq;
+            self.pending += 1;
+            metrics.repl_resync_records_total.inc();
+        }
+        self.harvest(Instant::now() + ACK_DEADLINE)?;
+        Ok(())
+    }
+
+    fn harvest(&mut self, deadline: Instant) -> std::io::Result<bool> {
+        let DrainJob { stream, ack_buf, ack_filled, pending, acked, .. } = self;
+        harvest_acks_raw(stream, ack_buf, ack_filled, pending, acked, deadline)
     }
 }
 
@@ -927,13 +912,20 @@ fn harvest_acks_raw(
     deadline: Instant,
 ) -> std::io::Result<bool> {
     while *pending > 0 {
-        let Some(remaining) =
-            deadline.checked_duration_since(Instant::now()).filter(|d| !d.is_zero())
-        else {
-            return Ok(false);
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        let read = if remaining.is_zero() {
+            // Past the deadline, acks already received still count: a
+            // ship that spent the deadline on one silent peer must not
+            // demote the next peer, whose ack arrived meanwhile.
+            stream.set_nonblocking(true)?;
+            let read = stream.read(&mut ack_buf[*ack_filled..]);
+            stream.set_nonblocking(false)?;
+            read
+        } else {
+            stream.set_read_timeout(Some(remaining))?;
+            stream.read(&mut ack_buf[*ack_filled..])
         };
-        stream.set_read_timeout(Some(remaining))?;
-        match stream.read(&mut ack_buf[*ack_filled..]) {
+        match read {
             Ok(0) => return Err(std::io::Error::other("replication stream closed")),
             Ok(n) => {
                 *ack_filled += n;
@@ -987,24 +979,12 @@ fn establish(
         )));
     }
     let follower_seq = u64::from_le_bytes(reply[9..17].try_into().expect("8-byte slice"));
-    {
-        let backlog = backlog.lock();
-        if follower_seq >= backlog.head() {
-            // Caught up — or ahead, which the rejoin path produces
-            // legitimately: a demoted primary may hold events it applied
-            // locally but never got acked. Those are torn-tail state, not
-            // a divergence; the stream simply continues from here.
-            return Ok(Established::Live(stream, follower_seq));
-        }
-        if !backlog.covers(follower_seq) {
-            drop(backlog);
-            send_bootstrap_hint(&mut stream, advertise)?;
-            metrics.repl_bootstrap_hints_total.inc();
-            return Ok(Established::Hinted);
-        }
-    }
     // Replay the gap from the ring. The backlog lock is only held to copy
-    // chunk references — never across stream I/O.
+    // chunk references — never across stream I/O. A follower at the head
+    // has nothing to replay — nor has one ahead of it, which the rejoin
+    // path produces legitimately: a demoted primary may hold events it
+    // applied locally but never got acked. Those are torn-tail state, not
+    // a divergence; the stream simply continues from there.
     let mut job = DrainJob {
         stream,
         sent: follower_seq,
@@ -1014,21 +994,9 @@ fn establish(
         ack_filled: 0,
     };
     match job.drain(backlog, metrics) {
-        DrainOutcome::Progress => {
-            if job.pending == 0 && job.sent >= backlog.lock().head() {
-                Ok(Established::Live(job.stream, job.acked))
-            } else {
-                Ok(Established::Behind {
-                    stream: job.stream,
-                    sent: job.sent,
-                    acked: job.acked,
-                    pending: job.pending,
-                })
-            }
-        }
+        DrainOutcome::Progress => Ok(Established::Stream(job)),
         DrainOutcome::Overrun => {
-            send_bootstrap_hint(&mut job.stream, advertise)?;
-            metrics.repl_bootstrap_hints_total.inc();
+            send_bootstrap_hint(&mut job.stream, advertise, metrics)?;
             Ok(Established::Hinted)
         }
         DrainOutcome::Dead => Err(std::io::Error::other(format!(
@@ -1038,8 +1006,12 @@ fn establish(
 }
 
 /// Frames and sends one bootstrap control frame naming this primary's
-/// HTTP address.
-fn send_bootstrap_hint(stream: &mut TcpStream, advertise: &str) -> std::io::Result<()> {
+/// HTTP address, counting it once sent.
+fn send_bootstrap_hint(
+    stream: &mut TcpStream,
+    advertise: &str,
+    metrics: &ServiceMetrics,
+) -> std::io::Result<()> {
     let mut payload = Vec::with_capacity(1 + advertise.len());
     payload.push(CONTROL_BOOTSTRAP);
     payload.extend_from_slice(advertise.as_bytes());
@@ -1049,7 +1021,9 @@ fn send_bootstrap_hint(stream: &mut TcpStream, advertise: &str) -> std::io::Resu
     frame.extend_from_slice(&len_le);
     frame.extend_from_slice(&sum.to_le_bytes());
     frame.extend_from_slice(&payload);
-    stream.write_all(&frame)
+    stream.write_all(&frame)?;
+    metrics.repl_bootstrap_hints_total.inc();
+    Ok(())
 }
 
 /// Reads exactly `buf.len()` bytes, riding out socket timeouts so an idle
@@ -1163,18 +1137,22 @@ pub fn serve_follower_stream(
             return;
         }
         let sum = u64::from_le_bytes(header[4..].try_into().expect("8-byte slice"));
-        let mut payload = vec![0u8; len as usize];
-        if !read_full(&mut stream, &mut payload, shutting_down) {
+        // The whole frame, header included: a record is journaled and kept
+        // in the backlog exactly as it arrived.
+        let mut frame = vec![0u8; HEADER_BYTES + len as usize];
+        frame[..HEADER_BYTES].copy_from_slice(&header);
+        if !read_full(&mut stream, &mut frame[HEADER_BYTES..], shutting_down) {
             return;
         }
-        if frame_checksum(&len_le, &payload) != sum {
+        let payload = &frame[HEADER_BYTES..];
+        if frame_checksum(&len_le, payload) != sum {
             return;
         }
         if control {
-            handle_control(&payload, store, cluster, generation, my_epoch, metrics);
+            handle_control(payload, store, cluster, generation, my_epoch, metrics);
             return;
         }
-        let Some(event) = VisitEvent::decode_payload(&payload) else { return };
+        let Some(event) = VisitEvent::decode_payload(payload) else { return };
         {
             let _gate = cluster.apply_gate.lock();
             // Fence mid-stream: a newer primary may have adopted this
@@ -1186,7 +1164,7 @@ pub fn serve_follower_stream(
             {
                 return;
             }
-            if store.apply_replicated(&event).is_err() {
+            if store.apply_replicated(&event, frame).is_err() {
                 return;
             }
         }
@@ -1345,5 +1323,107 @@ mod tests {
         assert_eq!(PeerState::Live.label(), "live");
         assert_eq!(PeerState::CatchingUp.label(), "catching-up");
         assert_eq!(PeerState::Down.label(), "down");
+    }
+
+    /// A scripted in-process follower: accepts one replication stream,
+    /// answers the handshake as a fresh node (`[0, generation, applied
+    /// 0]`), then acks each frame it reads after `ack_delay` — or never,
+    /// when that is `None`. The thread ends when the primary hangs up.
+    fn scripted_follower(
+        generation: u64,
+        ack_delay: Option<Duration>,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind port 0");
+        let addr = listener.local_addr().expect("bound address").to_string();
+        let thread = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("primary dials");
+            let mut handshake = [0u8; HANDSHAKE_BYTES];
+            stream.read_exact(&mut handshake).expect("handshake");
+            let mut reply = [0u8; HANDSHAKE_REPLY_BYTES];
+            reply[1..9].copy_from_slice(&generation.to_le_bytes());
+            stream.write_all(&reply).expect("handshake reply");
+            let mut applied = 0u64;
+            let mut header = [0u8; HEADER_BYTES];
+            while stream.read_exact(&mut header).is_ok() {
+                let len = u32::from_le_bytes(header[..4].try_into().unwrap());
+                let mut payload = vec![0u8; len as usize];
+                if stream.read_exact(&mut payload).is_err() {
+                    return;
+                }
+                let Some(delay) = ack_delay else { continue };
+                std::thread::sleep(delay);
+                applied += 1;
+                if stream.write_all(&applied.to_le_bytes()).is_err() {
+                    return;
+                }
+            }
+        });
+        (addr, thread)
+    }
+
+    /// Leads `ack_delays.len()` scripted followers under `policy`, ships
+    /// one event, and returns how long the ship took, its result, the
+    /// peers' rows and the slow-demotion count.
+    fn ship_once(
+        policy: ReplAckPolicy,
+        ack_delays: &[Option<Duration>],
+    ) -> (Duration, std::io::Result<()>, Vec<PeerStatus>, u64) {
+        let (addrs, threads): (Vec<_>, Vec<_>) =
+            ack_delays.iter().map(|delay| scripted_follower(1, *delay)).unzip();
+        let metrics = Arc::new(ServiceMetrics::new());
+        let replicator = Replicator::connect(
+            &addrs,
+            1,
+            policy,
+            "127.0.0.1:1".to_string(),
+            Arc::new(Mutex::new(Backlog::new(16))),
+            Arc::clone(&metrics),
+        )
+        .expect("scripted followers accept the handshake");
+        let event = VisitEvent {
+            host: "shop.example".to_string(),
+            observed: vec!["sid".to_string()],
+            kind: crate::wal::EventKind::Observe,
+        };
+        let started = Instant::now();
+        let result = replicator.ship(&event);
+        let elapsed = started.elapsed();
+        let peers = replicator.peer_statuses();
+        drop(replicator);
+        for thread in threads {
+            thread.join().expect("scripted follower");
+        }
+        (elapsed, result, peers, metrics.repl_slow_demotions_total.get())
+    }
+
+    #[test]
+    fn ship_waits_for_the_slowest_follower_not_the_sum() {
+        let delay = Some(Duration::from_millis(100));
+        let (elapsed, result, peers, _) = ship_once(ReplAckPolicy::Quorum, &[delay, delay]);
+        result.expect("quorum acked");
+        assert!(elapsed < Duration::from_millis(150), "ship took {elapsed:?}");
+        for peer in peers {
+            assert_eq!((peer.state, peer.acked_seq), (PeerState::Live, 1), "{}", peer.addr);
+        }
+    }
+
+    #[test]
+    fn silent_followers_share_one_ack_deadline() {
+        let (elapsed, result, peers, demotions) = ship_once(ReplAckPolicy::None, &[None, None]);
+        result.expect("policy none never fails a write");
+        assert!(elapsed < ACK_DEADLINE.mul_f64(1.5), "ship took {elapsed:?}");
+        assert!(peers.iter().all(|p| p.state == PeerState::CatchingUp), "{peers:?}");
+        assert_eq!(demotions, 2);
+    }
+
+    #[test]
+    fn an_ack_that_lands_while_a_silent_peer_is_awaited_still_counts() {
+        let delay = Some(Duration::from_millis(100));
+        let (elapsed, result, peers, demotions) = ship_once(ReplAckPolicy::Quorum, &[None, delay]);
+        result.expect("the second follower's ack makes the quorum");
+        assert!(elapsed < ACK_DEADLINE.mul_f64(1.5), "ship took {elapsed:?}");
+        assert_eq!(peers[0].state, PeerState::CatchingUp);
+        assert_eq!((peers[1].state, peers[1].acked_seq), (PeerState::Live, 1));
+        assert_eq!(demotions, 1);
     }
 }

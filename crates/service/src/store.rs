@@ -503,11 +503,16 @@ impl ShardedStore {
         let entry =
             shard.entry(host.to_string()).or_insert_with(|| SiteEntry::new(self.stability_window));
         let (event, context) = plan(entry);
+        // The framed record, encoded at most once per event: journaled and
+        // shipped from the same bytes. Standalone in-memory writes never
+        // encode it.
+        let mut record = None;
         let marked_now = match &event {
             Some(event) => {
                 debug_assert_eq!(event.host, host, "event host must match the locked entry");
                 if let Some(durable) = &self.durable {
-                    durable.wals[idx].lock().append(event)?;
+                    let frame = record.insert(event.encode_record());
+                    durable.wals[idx].lock().append_record(frame)?;
                 }
                 self.applied.fetch_add(1, Ordering::Release);
                 entry.apply(event)
@@ -528,7 +533,9 @@ impl ShardedStore {
             // cost (a later follower of this node bootstraps instead).
             let replicator = self.repl.read().clone();
             match replicator {
-                Some(replicator) => replicator.ship(event)?,
+                Some(replicator) => {
+                    replicator.ship_record(record.unwrap_or_else(|| event.encode_record()))?;
+                }
                 None => {
                     self.backlog.lock().advance();
                 }
@@ -542,7 +549,10 @@ impl ShardedStore {
     /// keep their own logs), apply through the same `SiteEntry::apply`
     /// path, publish the summary mirror, and checkpoint on the usual
     /// interval. Never re-ships: followers hold no replicator.
-    pub fn apply_replicated(&self, event: &VisitEvent) -> std::io::Result<()> {
+    ///
+    /// `record` is the frame `event` arrived in: it is journaled and kept
+    /// in the backlog as received, never re-encoded.
+    pub fn apply_replicated(&self, event: &VisitEvent, record: Vec<u8>) -> std::io::Result<()> {
         let idx = self.shard_of(&event.host);
         let mut shard = self.shards[idx].write();
         if !shard.contains_key(&event.host) {
@@ -552,14 +562,14 @@ impl ShardedStore {
             .entry(event.host.clone())
             .or_insert_with(|| SiteEntry::new(self.stability_window));
         if let Some(durable) = &self.durable {
-            durable.wals[idx].lock().append(event)?;
+            durable.wals[idx].lock().append_record(&record)?;
         }
         self.applied.fetch_add(1, Ordering::Release);
         entry.apply(event);
         // Retain the record in the backlog ring (shard → backlog order):
         // if this follower is later promoted, it can replay these records
         // to peers that reconnect behind it.
-        self.backlog.lock().push(Arc::new(event.encode_record()));
+        self.backlog.lock().push(Arc::new(record));
         self.publish(idx, &event.host, entry);
         if let Some(durable) = &self.durable {
             durable.maybe_checkpoint(idx, &shard);
@@ -995,6 +1005,46 @@ mod tests {
         assert_eq!(recovered.marks(), vec!["a.example sid".to_string()]);
         assert_eq!(recovered.read_entry("a.example", |e| e.probes), Some(1));
         assert_eq!(recovered.read_entry("b.example", |e| e.probes), Some(0));
+    }
+
+    #[test]
+    fn replicated_records_are_journaled_and_kept_as_received() {
+        let events = [
+            probe_event("a.example", &["sid"], true, 500),
+            observe_event("b.example", &["tr"]),
+            probe_event("a.example", &["lang"], false, 70),
+        ];
+        let open = |dir: &PathBuf| {
+            let config = DurabilityConfig::new(dir.clone());
+            ShardedStore::open(2, 5, Some(config), Arc::new(ServiceMetrics::new())).unwrap()
+        };
+        let primary_dir = tmp_data_dir("journal-primary");
+        let follower_dir = tmp_data_dir("journal-follower");
+        let (primary, _) = open(&primary_dir);
+        let (follower, _) = open(&follower_dir);
+        for event in &events {
+            let planned = event.clone();
+            primary.transact(&event.host, |_| (Some(planned), ()), |_, _, ()| ()).unwrap();
+            let record = event.encode_record();
+            let received = record.as_ptr();
+            follower.apply_replicated(event, record).unwrap();
+            let backlog = follower.backlog.lock();
+            let (_, kept) = backlog.range(backlog.head() - 1, 1).pop().unwrap();
+            assert_eq!(kept.as_ptr(), received, "the backlog keeps the received frame");
+        }
+        for shard in 0..2 {
+            let primary_log = std::fs::read(wal_path(&primary_dir, shard)).unwrap();
+            let follower_log = std::fs::read(wal_path(&follower_dir, shard)).unwrap();
+            assert_eq!(
+                follower_log, primary_log,
+                "shard {shard}: the follower journals the same bytes"
+            );
+        }
+        let marks = follower.marks();
+        drop(follower);
+        let (recovered, stats) = open(&follower_dir);
+        assert_eq!(stats.records_replayed, 3);
+        assert_eq!(recovered.marks(), marks);
     }
 
     #[test]

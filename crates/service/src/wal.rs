@@ -527,10 +527,16 @@ impl Wal {
     /// on write errors, then syncs per the fsync policy. On `Ok`, the
     /// record is fully in the file — the caller may ack.
     pub fn append(&mut self, event: &VisitEvent) -> std::io::Result<()> {
+        self.append_record(&event.encode_record())
+    }
+
+    /// [`append`](Self::append) for a record already framed by
+    /// [`VisitEvent::encode_record`] — the store journals and ships one
+    /// encoding, and a follower journals the frame it received.
+    pub(crate) fn append_record(&mut self, frame: &[u8]) -> std::io::Result<()> {
         if self.poisoned {
             return Err(std::io::Error::other("wal poisoned by a failed truncation"));
         }
-        let frame = event.encode_record();
         let mut last_err: Option<std::io::Error> = None;
         let mut attempts = 0;
         while attempts < MAX_ATTEMPTS {
@@ -539,7 +545,7 @@ impl Wal {
                 self.file.truncate_to(self.committed)?;
                 self.dirty = false;
             }
-            match self.write_frame(&frame) {
+            match self.write_frame(frame) {
                 Ok(()) => {
                     self.committed += frame.len() as u64;
                     self.records += 1;
