@@ -7,7 +7,7 @@
 //!
 //! * `baseline_*` — [`decide_reference`]: HashMap `ContentSet`s, string
 //!   label comparison, per-call DP row allocation.
-//! * `compiled_*` — [`decide`]: interned [`DetectTree`]s, hash-compiled
+//! * `compiled_*` — [`decide`]: interned [`DetectTree`](cp_treediff::DetectTree)s, hash-compiled
 //!   content multisets, one reusable scratch workspace.
 //! * `cached_*` — [`decide_analyzed`] over prebuilt [`PageAnalysis`]
 //!   values: what cp-serve pays on an analysis-cache hit.

@@ -5,7 +5,7 @@
 //! come back as an error page or a truncated body. A broken hidden version
 //! must never be compared as if it were the cookie-disabled rendering, so
 //! every probe resolves to an explicit [`ProbeOutcome`]: either a
-//! [`Decision`](crate::Decision) or an [`InconclusiveReason`] that makes
+//! [`Decision`] or an [`InconclusiveReason`] that makes
 //! FORCUM *defer* judgement for that page view.
 
 use std::fmt;

@@ -10,11 +10,11 @@
 //! | module   | replaces           | provides |
 //! |----------|--------------------|----------|
 //! | [`rng`]  | `rand`             | SplitMix64-seeded xoshiro256++, `Rng` trait (`gen`, `gen_range`, `shuffle`, `sample`) |
-//! | [`json`] | `serde`/`serde_json` | [`json::Json`] value, strict parser, fixture-compatible writers, [`json!`] builder macro |
+//! | [`json`](mod@json) | `serde`/`serde_json` | [`json::Json`] value, strict parser, fixture-compatible writers, [`json!`] builder macro |
 //! | [`par`]  | `crossbeam::scope` | [`par::par_map_indexed`] — ordered scoped fan-out with a worker cap |
 //! | [`sync`] | `parking_lot`      | guard-returning `Mutex` / `RwLock` |
 //! | [`metrics`] | `prometheus`    | atomic `Counter` / `Gauge` / latency `Histogram` for the service layer |
-//! | [`net`]  | `mio`/`epoll` crates | [`net::Poller`] — level-triggered readiness polling (Linux epoll via the libc std links; `Unsupported` elsewhere) |
+//! | [`net`]  | `mio`/`epoll` crates | [`net::Poller`] — level-triggered readiness polling via the libc std links (epoll on Linux, `poll(2)` on other unix targets) |
 //!
 //! Determinism is the design center: the PRNG stream is pinned by tests,
 //! JSON output is byte-stable (sorted keys, shortest float repr), and

@@ -1,35 +1,73 @@
-//! The readiness-loop serving path: sharded nonblocking event loops.
+//! The node's serving path: sharded nonblocking event loops.
 //!
 //! `workers` shard threads each own a [`cp_runtime::net::Poller`], a slice
-//! of connections, and a clone of the shared listener, registered
-//! `EPOLLEXCLUSIVE` in every shard so the kernel load-balances accepts
-//! without a dedicated acceptor thread. Each connection carries a read
-//! buffer feeding the incremental request parser and a write buffer
-//! holding fully assembled responses (head + body contiguous), flushed
-//! with single `write` calls. There are no per-connection threads and no
-//! locks on the hot path: a request is read, parsed, routed, recorded,
-//! and serialized entirely on its shard.
+//! of connections, and a clone of the shared listener. On Linux the
+//! listener is registered `EPOLLEXCLUSIVE` in every shard, so the kernel
+//! wakes one shard per pending accept and no acceptor thread is needed;
+//! under `poll(2)` every shard wakes and the losers' `accept` returns
+//! `WouldBlock`. Each connection carries a read buffer feeding the
+//! incremental request parser and a write buffer holding fully assembled
+//! responses (head + body contiguous), flushed with single `write` calls.
+//! There are no per-connection threads and no locks on the hot path: a
+//! request is read, parsed, routed, recorded, and serialized entirely on
+//! its shard.
 //!
-//! Where no native poller exists ([`Poller::new`] reports `Unsupported`),
-//! [`spawn`] fails *before* any thread starts and the caller falls back
-//! to the portable acceptor + bounded-queue worker pool in
-//! [`server`](crate::server).
+//! The two per-connection decisions, [`reply_parse_error`] and
+//! [`close_cause`], are shared with the router's connection loop so both
+//! answer and account alike. On non-unix targets [`spawn`] fails with
+//! `Unsupported`.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::server::{ServeConfig, Shared};
+use crate::http::{write_response, HttpError, HttpRequest};
+use crate::metrics::{Endpoint, ServiceMetrics};
+use crate::server::{error_json, ServeConfig, Shared};
 
-/// Spawns the shard threads, or fails with [`io::ErrorKind::Unsupported`]
-/// where no native poller exists so the caller can fall back.
+/// Spawns one event-loop shard thread per `config.workers`.
 pub(crate) fn spawn(
     shared: &Arc<Shared>,
     listener: &TcpListener,
     config: &ServeConfig,
 ) -> io::Result<Vec<JoinHandle<()>>> {
     imp::spawn(shared, listener, config)
+}
+
+/// Answers a request that failed to parse on `out` and records it: `413`
+/// for a declared body over the cap, `400` otherwise. The connection
+/// closes after it with cause `error`, because framing may be lost.
+pub(crate) fn reply_parse_error(
+    metrics: &ServiceMetrics,
+    err: &HttpError,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let (status, reason, msg) = match err {
+        HttpError::BodyTooLarge => (413, "Payload Too Large", "body too large".to_string()),
+        // Malformed / HeadTooLarge / BadVersion.
+        _ => (400, "Bad Request", err.to_string()),
+    };
+    metrics.record(Endpoint::Other, status, 0);
+    write_response(out, status, reason, "application/json", &error_json(&msg), false)
+}
+
+/// Whether the response to `request` ends its connection, and under which
+/// `cp_conn_closed_total` cause; `None` keeps the connection alive.
+pub(crate) fn close_cause(
+    request: &HttpRequest,
+    status: u16,
+    draining: bool,
+) -> Option<&'static str> {
+    if !request.keep_alive() {
+        Some("client") // HTTP/1.0 or an explicit `Connection: close`
+    } else if draining {
+        Some("drain")
+    } else if status >= 500 {
+        Some("error") // 5xx: close so the peer re-syncs on a fresh conn
+    } else {
+        None
+    }
 }
 
 #[cfg(unix)]
@@ -45,10 +83,8 @@ mod imp {
 
     use cp_runtime::net::{PollEvent, Poller};
 
-    use crate::http::{
-        append_response, parse_request_buffer, write_response, HttpError, HttpRequest, Limits,
-    };
-    use crate::metrics::Endpoint;
+    use super::{close_cause, reply_parse_error};
+    use crate::http::{append_response, parse_request_buffer, write_response, HttpRequest, Limits};
     use crate::server::{error_json, route, ServeConfig, Shared};
 
     /// The listener's registration token; connections start at 1.
@@ -67,8 +103,8 @@ mod imp {
         config: &ServeConfig,
     ) -> io::Result<Vec<JoinHandle<()>>> {
         let shards = config.workers.max(1);
-        // Probe poller support up front so an unsupported platform falls
-        // back before any thread spawns or the listener changes mode.
+        // Create every poller before any thread spawns or the listener
+        // changes mode, so a failure here leaves nothing running.
         let mut pollers = Vec::with_capacity(shards);
         for _ in 0..shards {
             pollers.push(Poller::new()?);
@@ -76,10 +112,8 @@ mod imp {
         // Nonblocking applies to the shared file description: every
         // shard's clone inherits it.
         listener.set_nonblocking(true)?;
-        // Same admission bound as the worker-pool path: `workers`
-        // in-flight connections plus a `queue_capacity` backlog. The
-        // count is global so the cap holds regardless of which shard the
-        // kernel wakes.
+        // Admission cap: `workers + queue_capacity` open connections. The
+        // count is global so the cap holds whichever shard accepts.
         let max_conns = shards + config.queue_capacity.max(1);
         let conn_count = Arc::new(AtomicUsize::new(0));
         pollers
@@ -143,7 +177,7 @@ mod imp {
     impl Shard {
         fn run(mut self) {
             if self.poller.add_exclusive(self.listener.as_raw_fd(), LISTENER_TOKEN).is_err() {
-                return; // dead epoll: bail rather than spin
+                return; // dead poller: bail rather than spin
             }
             let mut events: Vec<PollEvent> = Vec::new();
             loop {
@@ -355,14 +389,10 @@ mod imp {
                     serve_request(shared, conn, &request);
                 }
                 Ok(None) => break,
-                Err(HttpError::BodyTooLarge) => {
-                    error_response(shared, conn, 413, "Payload Too Large", "body too large");
-                }
                 Err(err) => {
-                    // Malformed / HeadTooLarge / BadVersion → 400, then
-                    // close: framing may be lost.
-                    let msg = err.to_string();
-                    error_response(shared, conn, 400, "Bad Request", &msg);
+                    let _ = reply_parse_error(&shared.metrics, &err, &mut conn.outbuf);
+                    conn.close_after_flush = true;
+                    conn.close_cause = "error";
                 }
             }
         }
@@ -387,37 +417,16 @@ mod imp {
         let (endpoint, status, reason, content_type, body) = route(shared, request);
         // Re-read after routing: `/v1/shutdown` flips the flag and its own
         // response must already carry `Connection: close`.
-        let draining = shared.shutting_down.load(Ordering::SeqCst);
-        let keep_alive = request.keep_alive() && !draining && status < 500;
+        let close = close_cause(request, status, shared.shutting_down.load(Ordering::SeqCst));
         // Record BEFORE the bytes leave: anyone who has seen the response
         // (e.g. a load generator cross-checking /metrics after its last
         // request) must also see its counters.
         shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
-        append_response(&mut conn.outbuf, status, reason, content_type, &body, keep_alive);
-        if !keep_alive {
+        append_response(&mut conn.outbuf, status, reason, content_type, &body, close.is_none());
+        if let Some(cause) = close {
             conn.close_after_flush = true;
-            conn.close_cause = if !request.keep_alive() {
-                "client" // HTTP/1.0 or an explicit `Connection: close`
-            } else if draining {
-                "drain"
-            } else {
-                "error" // 5xx: close so the peer re-syncs on a fresh conn
-            };
+            conn.close_cause = cause;
         }
-    }
-
-    fn error_response(shared: &Shared, conn: &mut Conn, status: u16, reason: &str, msg: &str) {
-        shared.metrics.record(Endpoint::Other, status, 0);
-        append_response(
-            &mut conn.outbuf,
-            status,
-            reason,
-            "application/json",
-            &error_json(msg),
-            false,
-        );
-        conn.close_after_flush = true;
-        conn.close_cause = "error";
     }
 
     fn flush_conn(conn: &mut Conn) -> Flushed {
@@ -441,18 +450,13 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    use std::io;
-    use std::net::TcpListener;
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
-
-    use crate::server::{ServeConfig, Shared};
+    use super::{io, Arc, JoinHandle, ServeConfig, Shared, TcpListener};
 
     pub(crate) fn spawn(
         _shared: &Arc<Shared>,
         _listener: &TcpListener,
         _config: &ServeConfig,
     ) -> io::Result<Vec<JoinHandle<()>>> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no native poller on this platform"))
+        Err(io::Error::new(io::ErrorKind::Unsupported, "the event loop needs a unix target"))
     }
 }

@@ -1,7 +1,7 @@
 //! # cp-serve — the CookiePicker decision service
 //!
-//! A std-only, multi-threaded HTTP/1.1 server that puts the detection
-//! engine behind real TCP:
+//! A std-only HTTP/1.1 server on sharded event loops that puts the
+//! detection engine behind real TCP:
 //!
 //! | Route | Purpose |
 //! |---|---|
@@ -22,8 +22,8 @@
 //! write-ahead logs + atomic snapshots over a fault-injectable write
 //! layer), [`world`] is the embedded deterministic site population,
 //! [`metrics`] is the atomic registry, [`server`] wires them behind the
-//! sharded readiness loop (falling back to a bounded-queue worker pool
-//! where no native poller exists), and [`loadgen`] is the seeded
+//! sharded readiness loop (epoll on Linux, `poll(2)` on other unix
+//! targets; the node's only serving path), and [`loadgen`] is the seeded
 //! closed-loop client that benchmarks the whole stack.
 //!
 //! Cluster mode layers on top: [`replication`] ships every applied WAL

@@ -237,16 +237,20 @@ registry! {
         /// Time to derive one site from the universe (cache misses only), in
         /// microseconds.
         pub site_derive_micros: Histogram = Histogram::with_bounds(&DETECTION_BUCKETS_MICROS),
-        /// Connections queued for a worker right now.
+        /// Connections queued for a router worker right now (the node's
+        /// event loop has no queue, so a node always reports 0).
         pub queue_depth: Gauge,
         /// Connections with readiness events in the event-loop pass being
         /// processed right now (the readiness-loop analogue of queue depth).
         pub ready_conns: Gauge,
-        /// Event-loop wakeups (`epoll_wait` returns with ≥1 event).
+        /// Event-loop wakeups: returns from a shard's poll, timeouts
+        /// included.
         pub event_loop_wakeups: Counter,
         /// Connections accepted over the server's lifetime.
         pub connections_total: Counter,
-        /// Connections rejected because the accept queue was full.
+        /// Connections answered `503` and closed at accept: a node past its
+        /// `workers + queue_capacity` admission cap, or a router whose
+        /// accept queue was full.
         pub rejected_total: Counter,
         /// Connection closes by [`CONN_CLOSE_CAUSES`] cause.
         pub conn_closed: LabeledCounter = LabeledCounter::new(&CONN_CLOSE_CAUSES),

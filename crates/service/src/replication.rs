@@ -23,7 +23,7 @@
 //! `GET /v1/repl/snapshot` instead.
 //!
 //! Control frames share the record framing but set the high bit of the
-//! length word ([`CONTROL_BIT`]) — real records never reach
+//! length word (`CONTROL_BIT`) — real records never reach
 //! [`MAX_RECORD_BYTES`], so the bit is unambiguous and the checksum still
 //! covers the frame.
 //!

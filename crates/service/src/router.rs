@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use cp_runtime::json::Json;
 use cp_runtime::sync::Mutex;
 
+use crate::eventloop::{close_cause, reply_parse_error};
 use crate::http::{write_response, HttpConn, HttpError, HttpRequest, Limits};
 use crate::loadgen::Client;
 use crate::metrics::{Endpoint, ServiceMetrics};
@@ -218,7 +219,7 @@ impl Drop for RouterHandle {
 
 /// Binds the router, leads backend 0 at generation 1, and starts the
 /// heartbeat and serving threads. Fails when no backend accepts the
-/// initial lead within [`LEAD_ATTEMPTS`] tries.
+/// initial lead within `LEAD_ATTEMPTS` tries.
 pub fn start_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     if config.backends.is_empty() {
         return Err(std::io::Error::other("router needs at least one backend"));
@@ -546,40 +547,23 @@ fn handle_connection(
                 return;
             }
             Err(err) => {
-                shared.metrics.record(Endpoint::Other, 400, 0);
-                let body = Json::object().set("error", err.to_string()).to_compact();
-                let _ = write_response(
-                    conn.stream_mut(),
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
+                let _ = reply_parse_error(&shared.metrics, &err, conn.stream_mut());
                 shared.metrics.conn_closed.inc("error");
                 return;
             }
         };
         let started = Instant::now();
         let (endpoint, status, content_type, body) = route(shared, clients, &request);
-        let draining = shared.shutting_down.load(Ordering::SeqCst);
-        let keep_alive = request.keep_alive() && !draining && status < 500;
+        let close = close_cause(&request, status, shared.shutting_down.load(Ordering::SeqCst));
         shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
-        let write_ok = write_response(
-            conn.stream_mut(),
-            status,
-            reason_for(status),
-            &content_type,
-            &body,
-            keep_alive,
-        )
-        .is_ok();
-        if !write_ok {
+        let reason = reason_for(status);
+        let stream = conn.stream_mut();
+        if write_response(stream, status, reason, &content_type, &body, close.is_none()).is_err() {
             shared.metrics.conn_closed.inc("write_failed");
             return;
         }
-        if !keep_alive {
-            shared.metrics.conn_closed.inc(if draining { "drain" } else { "client" });
+        if let Some(cause) = close {
+            shared.metrics.conn_closed.inc(cause);
             return;
         }
     }

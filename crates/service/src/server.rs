@@ -1,36 +1,31 @@
-//! The cp-serve server: serving paths, routing, shutdown.
+//! The cp-serve server: configuration, start-up, routing, shutdown.
 //!
-//! Two serving paths share the routing layer below:
+//! [`start`] binds the listener, opens the training store and hands every
+//! connection to the sharded readiness loop in `eventloop`: `workers`
+//! shard threads, each running a nonblocking poller over its own
+//! connections (epoll on Linux, `poll(2)` on other unix targets). There is
+//! no thread per connection and no queue. Admission is bounded: beyond
+//! `workers + queue_capacity` open connections a new one gets an inline
+//! `503`. On non-unix targets `start` fails with `Unsupported`.
 //!
-//! * **Readiness loop** (the default, [`crate::eventloop`]): `workers`
-//!   shard threads each run a nonblocking poller over their slice of
-//!   connections — no thread per connection, no queue, responses flushed
-//!   with single writes. Admission is still bounded (`workers` +
-//!   `queue_capacity` concurrent connections; beyond that, inline `503`).
-//! * **Worker pool** (`use_poller: false`, or platforms without a native
-//!   poller): one acceptor thread feeds a *bounded* queue
-//!   (`std::sync::mpsc::sync_channel`); `workers` threads pull
-//!   connections and speak blocking HTTP/1.1 with keep-alive. When the
-//!   queue is full the acceptor answers `503` inline instead of queueing.
+//! This module owns what every request shares: `route` and its
+//! handlers, the store, the world and the cluster role.
 //!
-//! Shutdown is graceful on both paths: the flag flips, a self-connect
-//! wakes the blocked `accept` (or one of the pollers), and each serving
-//! thread finishes what it holds before exiting.
+//! Shutdown is graceful: the flag flips, a self-connect wakes a shard,
+//! and each shard finishes the responses it holds before exiting.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cookiepicker_core::{decide_analyzed, CookiePickerConfig};
 use cp_runtime::json::{FromJson, Json, ToJson};
-use cp_runtime::sync::Mutex;
 
 use crate::cache::AnalysisCache;
-use crate::http::{write_response, HttpConn, HttpError, HttpRequest, Limits};
+use crate::http::{HttpRequest, Limits};
 use crate::metrics::{Endpoint, ServiceMetrics};
 use crate::replication::{
     self, ClusterState, ReplAckPolicy, Replicator, Role, DEFAULT_BACKLOG_CAP,
@@ -57,14 +52,12 @@ pub struct ServeConfig {
     /// Which world the universe enumerates: the paper's Table-1 sites
     /// (default) or `uniform:N` procedural hosts derived on demand.
     pub world: WorldKind,
-    /// Derived-site cache capacity — the only per-world memory that scales
-    /// with traffic rather than world size.
-    pub site_cache_capacity: usize,
-    /// Worker threads handling connections.
+    /// Event-loop shard threads serving connections.
     pub workers: usize,
     /// Shards in the training store.
     pub shards: usize,
-    /// Bounded accept-queue capacity; overflow is answered `503`.
+    /// Connections admitted beyond one per shard: at most `workers +
+    /// queue_capacity` are open at once, and the next is answered `503`.
     pub queue_capacity: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
@@ -92,10 +85,6 @@ pub struct ServeConfig {
     pub storage_fault_rate: f64,
     /// Seed for the storage-fault stream (independent of `--seed`).
     pub storage_fault_seed: u64,
-    /// Serve with the sharded readiness loop (the default). When `false` —
-    /// or on platforms without a native poller — connections go through
-    /// the portable acceptor + bounded-queue worker pool instead.
-    pub use_poller: bool,
     /// When set, a replication listener binds this port (0 picks a free
     /// one) and the node can follow a primary's WAL stream.
     pub repl_port: Option<u16>,
@@ -122,7 +111,6 @@ impl Default for ServeConfig {
             port: 0,
             seed: 7,
             world: WorldKind::Table1,
-            site_cache_capacity: DEFAULT_SITE_CACHE,
             workers: 4,
             shards: 16,
             queue_capacity: 128,
@@ -137,7 +125,6 @@ impl Default for ServeConfig {
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             storage_fault_rate: 0.0,
             storage_fault_seed: 0,
-            use_poller: true,
             repl_port: None,
             repl_ack: ReplAckPolicy::default(),
             repl_followers: Vec::new(),
@@ -147,8 +134,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// State shared by the serving threads (event-loop shards or the
-/// acceptor + workers) and the handle.
+/// State shared by the event-loop shards, the replication threads and the
+/// handle.
 pub(crate) struct Shared {
     world: EmbeddedWorld,
     store: ShardedStore,
@@ -171,9 +158,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Flips the shutdown flag; the first caller also wakes the acceptor
-    /// out of its blocking `accept` (and the replication listener, if
-    /// any) with throwaway self-connects.
+    /// Flips the shutdown flag; the first caller also wakes a shard out of
+    /// its poll (and the replication listener out of its blocking
+    /// `accept`, if any) with throwaway self-connects.
     fn begin_shutdown(&self) {
         if !self.shutting_down.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
@@ -243,8 +230,8 @@ fn repl_accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The event-loop shards and the replication listener.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -279,18 +266,15 @@ impl ServerHandle {
         self.shared.recovery
     }
 
-    /// Blocks until the acceptor and every worker have exited, then (for
-    /// durable stores) flushes the WALs and writes a final snapshot so a
-    /// clean restart replays zero records. Call
+    /// Blocks until every shard and the replication listener have exited,
+    /// then (for durable stores) flushes the WALs and writes a final
+    /// snapshot so a clean restart replays zero records. Call
     /// [`shutdown`](Self::shutdown) first (or `POST /v1/shutdown`).
     pub fn wait(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // All workers are gone: no more mutations. Retire the replicator
+        // All shards are gone: no more mutations. Retire the replicator
         // first (its maintenance thread exits) so nothing redials peers
         // while the process winds down, then checkpoint.
         self.shared.store.set_replicator(None);
@@ -313,8 +297,7 @@ impl Drop for ServerHandle {
 pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind((config.host.as_str(), config.port))?;
     let addr = listener.local_addr()?;
-    let mut world =
-        EmbeddedWorld::with_world(config.seed, config.world, config.site_cache_capacity);
+    let mut world = EmbeddedWorld::with_world(config.seed, config.world, DEFAULT_SITE_CACHE);
     if config.chaos_fault_rate > 0.0 {
         let chaos =
             ChaosConfig::uniform(config.seed ^ CHAOS_SEED_SALT, config.chaos_fault_rate.min(1.0));
@@ -370,178 +353,13 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         std::thread::spawn(move || repl_accept_loop(&shared, &listener))
     });
 
-    if config.use_poller {
-        // The sharded readiness loop owns the listener clones; the
-        // original drops when `start` returns, so joining the shards
-        // releases the port.
-        match crate::eventloop::spawn(&shared, &listener, &config) {
-            Ok(mut workers) => {
-                workers.extend(repl_thread);
-                return Ok(ServerHandle { shared, acceptor: None, workers });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                // No native poller here: serve with the worker pool below.
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.queue_capacity.max(1));
-    let rx = Arc::new(Mutex::new(rx));
-
-    let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            let limits = config.limits;
-            std::thread::spawn(move || worker_loop(&shared, &rx, limits))
-        })
-        .collect();
-    workers.extend(repl_thread);
-
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        let read_timeout = config.read_timeout;
-        let write_timeout = config.write_timeout;
-        std::thread::spawn(move || {
-            accept_loop(&shared, &listener, &tx, read_timeout, write_timeout)
-        })
-    };
-
-    Ok(ServerHandle { shared, acceptor: Some(acceptor), workers })
-}
-
-fn accept_loop(
-    shared: &Shared,
-    listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
-            Err(_) => continue,
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break; // the wake-up self-connect, or a late arrival: drop it
-        }
-        shared.metrics.connections_total.inc();
-        let _ = stream.set_read_timeout(Some(read_timeout));
-        let _ = stream.set_write_timeout(Some(write_timeout));
-        let _ = stream.set_nodelay(true);
-        match tx.try_send(stream) {
-            Ok(()) => shared.metrics.queue_depth.inc(),
-            Err(TrySendError::Full(mut stream)) => {
-                shared.metrics.rejected_total.inc();
-                shared.metrics.conn_closed.inc("shed");
-                let body = error_json("server overloaded");
-                let _ = write_response(
-                    &mut stream,
-                    503,
-                    "Service Unavailable",
-                    "application/json",
-                    &body,
-                    false,
-                );
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-    // `tx` drops here; workers drain whatever is still queued, then exit.
-}
-
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>, limits: Limits) {
-    loop {
-        // The lock guards only the dequeue, never connection handling.
-        let stream = rx.lock().recv();
-        match stream {
-            Ok(stream) => {
-                shared.metrics.queue_depth.dec();
-                handle_connection(shared, stream, limits);
-            }
-            Err(_) => break, // sender gone and queue drained
-        }
-    }
-}
-
-/// Serves one connection: requests until the peer closes, keep-alive ends,
-/// an unrecoverable error occurs, or shutdown begins. Every exit path
-/// records its cause in `cp_conn_closed_total`.
-fn handle_connection(shared: &Shared, stream: TcpStream, limits: Limits) {
-    let mut conn = HttpConn::new(stream, limits);
-    loop {
-        let request = match conn.read_request() {
-            Ok(request) => request,
-            Err(HttpError::Closed) => {
-                // Clean EOF on an idle keep-alive: the client hung up.
-                shared.metrics.conn_closed.inc("client");
-                return;
-            }
-            Err(HttpError::Io(e)) => {
-                // A read timeout mid-message is a stalled peer (slowloris,
-                // half-sent body); anything else is a transport fault.
-                let cause = match e.kind() {
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => "timeout",
-                    _ => "error",
-                };
-                shared.metrics.conn_closed.inc(cause);
-                return;
-            }
-            Err(HttpError::BodyTooLarge) => {
-                respond_error(shared, &mut conn, 413, "Payload Too Large", "body too large");
-                shared.metrics.conn_closed.inc("error");
-                return;
-            }
-            Err(err) => {
-                // Malformed / HeadTooLarge / BadVersion → 400, then close:
-                // framing may be lost, so the connection cannot continue.
-                let msg = err.to_string();
-                respond_error(shared, &mut conn, 400, "Bad Request", &msg);
-                shared.metrics.conn_closed.inc("error");
-                return;
-            }
-        };
-        let started = Instant::now();
-        let (endpoint, status, reason, content_type, body) = route(shared, &request);
-        let draining = shared.shutting_down.load(Ordering::SeqCst);
-        let keep_alive = request.keep_alive() && !draining && status < 500;
-        // Record BEFORE writing: anyone who has seen the response (e.g. a
-        // load generator cross-checking /metrics after its last request)
-        // must also see its counters.
-        shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
-        let write_ok =
-            write_response(conn.stream_mut(), status, reason, content_type, &body, keep_alive)
-                .is_ok();
-        if !write_ok {
-            shared.metrics.conn_closed.inc("write_failed");
-            return;
-        }
-        if !keep_alive {
-            let cause = if !request.keep_alive() {
-                "client" // HTTP/1.0 or an explicit `Connection: close`
-            } else if draining {
-                "drain"
-            } else {
-                "error" // 5xx: close so the peer re-syncs on a fresh conn
-            };
-            shared.metrics.conn_closed.inc(cause);
-            return;
-        }
-    }
-}
-
-fn respond_error(
-    shared: &Shared,
-    conn: &mut HttpConn<TcpStream>,
-    status: u16,
-    reason: &str,
-    msg: &str,
-) {
-    let body = error_json(msg);
-    shared.metrics.record(Endpoint::Other, status, 0);
-    let _ = write_response(conn.stream_mut(), status, reason, "application/json", &body, false);
+    // From here on, dropping the handle — on the error return below too —
+    // shuts down and joins whatever has started. The shards own clones of
+    // the listener; the original drops when `start` returns, so joining
+    // them releases the port.
+    let mut handle = ServerHandle { shared, threads: repl_thread.into_iter().collect() };
+    handle.threads.extend(crate::eventloop::spawn(&handle.shared, &listener, &config)?);
+    Ok(handle)
 }
 
 type Routed = (Endpoint, u16, &'static str, &'static str, Vec<u8>);
@@ -934,7 +752,7 @@ pub(crate) fn error_json(msg: &str) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::write_request;
+    use crate::http::{write_request, HttpConn};
 
     fn request(
         addr: SocketAddr,
@@ -1028,7 +846,7 @@ mod tests {
             conn.stream_mut().write_all(b"BOGUS\r\n\r\n").unwrap();
             assert_eq!(conn.read_response().unwrap().status, 400);
         }
-        // The worker observes both closes asynchronously; poll briefly.
+        // The shard observes both closes asynchronously; poll briefly.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let (client, error) = (
@@ -1221,28 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_fallback_still_serves() {
-        let mut server = start(ServeConfig {
-            use_poller: false,
-            workers: 2,
-            read_timeout: Duration::from_millis(2_000),
-            write_timeout: Duration::from_millis(2_000),
-            ..ServeConfig::default()
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut conn = HttpConn::new(stream, Limits::default());
-        for _ in 0..3 {
-            write_request(conn.stream_mut(), "GET", "/healthz", "127.0.0.1", b"").unwrap();
-            assert_eq!(conn.read_response().unwrap().status, 200);
-        }
-        drop(conn);
-        let resp = request(server.addr(), "POST", "/v1/shutdown", b"");
-        assert_eq!(resp.status, 200);
-        server.wait();
-    }
-
-    #[test]
     fn pipelined_requests_are_answered_in_order() {
         let server = test_server();
         let stream = TcpStream::connect(server.addr()).unwrap();
@@ -1269,9 +1065,6 @@ mod tests {
 
     #[test]
     fn event_loop_counts_wakeups_and_exposes_ready_gauge() {
-        if cp_runtime::net::Poller::new().is_err() {
-            return; // no native poller: the fallback path has no loop to count
-        }
         let server = test_server();
         assert_eq!(request(server.addr(), "GET", "/healthz", b"").status, 200);
         let text = request(server.addr(), "GET", "/metrics", b"").body_string();
@@ -1392,7 +1185,7 @@ mod tests {
         let mut server = test_server();
         let resp = request(server.addr(), "POST", "/v1/shutdown", b"");
         assert_eq!(resp.status, 200);
-        server.wait(); // must return: acceptor woken, workers drained
+        server.wait(); // must return: shards woken and drained
         assert!(server.shared.shutting_down.load(Ordering::SeqCst));
     }
 }

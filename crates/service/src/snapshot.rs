@@ -3,7 +3,7 @@
 //! A snapshot folds the shard's whole state into a single file so the
 //! WAL can be truncated — the durability ladder's compaction rung.
 //! Writes are crash-safe by construction: encode to a buffer, write to
-//! `snapshot-NN.tmp` (through the same fault-aware [`StorageFile`] layer
+//! `snapshot-NN.tmp` (through the same fault-aware [`StorageFile`](crate::storage::StorageFile) layer
 //! as the WAL, with the same truncate-and-retry discipline), sync,
 //! atomically rename over `snapshot-NN.snap`, then sync the directory.
 //! A crash at any point leaves either the old snapshot or the new one —

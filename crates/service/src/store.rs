@@ -635,7 +635,7 @@ impl ShardedStore {
         encode_snapshot_bytes(&entries, generation, applied)
     }
 
-    /// Installs a bootstrap blob from [`encode_bootstrap`]: replaces every
+    /// Installs a bootstrap blob from [`Self::encode_bootstrap`]: replaces every
     /// shard's entries, rebuilds the summary mirrors, re-anchors the
     /// applied sequence and the backlog at the blob's cut, and (for
     /// durable stores) checkpoints so a restart recovers the installed

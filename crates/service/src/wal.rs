@@ -77,7 +77,7 @@ const MAX_ATTEMPTS: usize = 8;
 /// the caller reports how long the batch took to fill (`elapsed_micros`)
 /// and how long the sync itself took (`fsync_micros`):
 ///
-/// - fsync overhead above [`TUNE_OVERHEAD_BUDGET_PCT`] of wall time means
+/// - fsync overhead above `TUNE_OVERHEAD_BUDGET_PCT` of wall time means
 ///   the load is outrunning the amortization — the batch doubles (capped
 ///   at [`TUNE_MAX_BATCH`]);
 /// - overhead below 1% means batches fill slowly relative to the sync

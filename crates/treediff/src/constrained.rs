@@ -1,12 +1,12 @@
 //! Constrained (isolated-subtree) tree edit distance — Zhang 1996, the
 //! efficient algorithm for the *isolated-subtree distance* family the paper
-//! cites as Tanaka & Tanaka (§4.1.1, ref. [18]).
+//! cites as Tanaka & Tanaka (§4.1.1, ref. \[18\]).
 //!
 //! A constrained mapping requires disjoint subtrees to map to disjoint
 //! subtrees (no mapping may "split" one subtree's nodes across two separate
 //! subtrees of the other side). This completes the crate's coverage of all
 //! four constrained families the paper surveys: top-down
-//! ([`selkow`](crate::selkow)/[`stm`](crate::stm)), bottom-up
+//! ([`selkow`](crate::selkow)/[`stm`](mod@crate::stm)), bottom-up
 //! ([`bottom_up`](crate::bottom_up)), alignment
 //! ([`alignment`](crate::alignment)) and isolated-subtree (here).
 //!

@@ -1,6 +1,6 @@
 //! The lazy universe: any site, derived on demand from `(seed, host)`.
 //!
-//! [`population`](crate::population) materializes fixed `Vec<SiteSpec>`s —
+//! [`population`] materializes fixed `Vec<SiteSpec>`s —
 //! fine for the paper's 30 + 6 sites, structurally incapable of the
 //! millions-of-hosts worlds the service roadmap needs. A [`Universe`] is
 //! the pure-function alternative: `derive(host)` computes the [`SiteSpec`]

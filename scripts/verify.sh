@@ -12,6 +12,9 @@ export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc comments must build without warnings: a broken intra-doc link, or a
+# public doc linking to a private item, fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release --workspace
 cargo test -q --workspace
 
@@ -54,4 +57,4 @@ SMOKE=1 ./scripts/bench_crawl.sh
 # must be demoted within the ack deadline instead of blocking writes.
 SMOKE=1 ./scripts/cluster.sh
 
-echo "verify: fmt + clippy + build + tests + harness tests + serve smoke + detect smoke + world smoke + chaos smoke + crash smoke + crawl smoke + cluster smoke passed offline"
+echo "verify: fmt + clippy + rustdoc + build + tests + harness tests + serve smoke + detect smoke + world smoke + chaos smoke + crash smoke + crawl smoke + cluster smoke passed offline"

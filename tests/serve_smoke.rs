@@ -141,7 +141,7 @@ fn graceful_shutdown_drains_and_joins() {
     }
     let resp = one_shot(&server, "POST", "/v1/shutdown", b"");
     assert_eq!(resp.status, 200);
-    server.wait(); // must return promptly: acceptor woken, workers drained
+    server.wait(); // must return promptly: shards woken and drained
                    // The port is released: a fresh bind on the same address succeeds.
     let addr = server.addr();
     drop(server);
@@ -286,8 +286,8 @@ fn sites_listing_defaults_cover_the_table1_world() {
 
 #[test]
 fn full_queue_sheds_load_with_503() {
-    // 1 worker, 1-slot queue: occupy the worker, fill the queue, then watch
-    // the next connection get a 503 instead of queueing unboundedly.
+    // 1 shard, queue 1: an admission cap of 2 open connections. Hold two,
+    // then watch the next connection get a 503 instead of being admitted.
     let server = start(ServeConfig {
         workers: 1,
         queue_capacity: 1,
@@ -296,11 +296,11 @@ fn full_queue_sheds_load_with_503() {
         ..ServeConfig::default()
     })
     .unwrap();
-    // Occupy the worker with an idle keep-alive connection (it blocks in
-    // read_request until the read timeout).
+    // Hold the first slot with an idle keep-alive connection (it stays
+    // open until the read timeout).
     let _busy = connect(&server);
     std::thread::sleep(Duration::from_millis(50));
-    let _queued = connect(&server); // fills the single queue slot
+    let _queued = connect(&server); // holds the second slot
     std::thread::sleep(Duration::from_millis(50));
     let mut shed = connect(&server);
     let resp = shed.read_response().expect("shed connections get an inline 503");
@@ -308,7 +308,7 @@ fn full_queue_sheds_load_with_503() {
 }
 
 /// Polls `server`'s close-cause counter until it reaches `want` or a 5 s
-/// deadline passes (the worker observes the close asynchronously).
+/// deadline passes (the shard observes the close asynchronously).
 fn await_close_cause(server: &ServerHandle, cause: &str, want: u64) {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
@@ -337,7 +337,7 @@ fn slowloris_stall_hits_read_timeout_and_closes_clean() {
     use std::io::{Read as _, Write as _};
     // A slowloris client: part of a request head, then silence.
     conn.stream_mut().write_all(b"GET /healthz HTT").unwrap();
-    // The worker gives up after read_timeout and closes without writing a
+    // The shard gives up after read_timeout and closes without writing a
     // response: the client's next read sees EOF (or a reset), never bytes.
     conn.stream_mut().set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut buf = [0u8; 64];
@@ -387,7 +387,7 @@ fn close_cause_metrics_cover_clean_and_shed_paths() {
     assert_eq!(conn.read_response().unwrap().status, 200);
     await_close_cause(&server, "client", 1);
 
-    // Overload → the acceptor's inline 503 records cause "shed".
+    // Over the admission cap → the shard's inline 503 records cause "shed".
     let server = start(ServeConfig {
         workers: 1,
         queue_capacity: 1,
