@@ -53,12 +53,17 @@ impl Gauge {
 
     /// Adds one.
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Subtracts one.
     pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        self.add(-1);
+    }
+
+    /// Adds `n`, which may be negative.
+    pub fn add(&self, n: i64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Sets the gauge to `v`.
@@ -173,6 +178,9 @@ mod tests {
         g.inc();
         g.dec();
         assert_eq!(g.get(), 1);
+        g.add(3);
+        g.add(-5);
+        assert_eq!(g.get(), -1);
         g.set(-7);
         assert_eq!(g.get(), -7);
     }

@@ -5,12 +5,24 @@
 //! listener is registered `EPOLLEXCLUSIVE` in every shard, so the kernel
 //! wakes one shard per pending accept and no acceptor thread is needed;
 //! under `poll(2)` every shard wakes and the losers' `accept` returns
-//! `WouldBlock`. Each connection carries a read buffer feeding the
-//! incremental request parser and a write buffer holding fully assembled
-//! responses (head + body contiguous), flushed with single `write` calls.
-//! There are no per-connection threads and no locks on the hot path: a
-//! request is read, parsed, routed, recorded, and serialized entirely on
-//! its shard.
+//! `WouldBlock`.
+//!
+//! The accepting shard places each connection on the shard that owns the
+//! fewest, the lowest-numbered on a tie. The choice depends only on those
+//! counts, not on which shard the kernel woke, so it repeats from run to
+//! run. When the target is another shard, the connection goes into that
+//! shard's inbox and a byte onto its wake-up, a socket pair registered in
+//! its own poller. That one hand-off is the only one: the connection lives
+//! on its shard from then on. At shutdown a shard adopts its inbox before
+//! it checks whether it has drained, and closes the inbox as it exits; a
+//! hand-off that finds the inbox closed closes the connection with cause
+//! `drain`.
+//!
+//! Each connection carries a read buffer feeding the incremental request
+//! parser and a write buffer holding fully assembled responses (head +
+//! body contiguous), flushed with single `write` calls. There are no
+//! per-connection threads and no locks on the hot path: a request is read,
+//! parsed, routed, recorded, and serialized entirely on its shard.
 //!
 //! The two per-connection decisions, [`reply_parse_error`] and
 //! [`close_cause`], are shared with the router's connection loop so both
@@ -76,19 +88,27 @@ mod imp {
     use std::io::{self, Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
     use cp_runtime::net::{PollEvent, Poller};
+    use cp_runtime::sync::Mutex;
 
     use super::{close_cause, reply_parse_error};
     use crate::http::{append_response, parse_request_buffer, write_response, HttpRequest, Limits};
     use crate::server::{error_json, route, ServeConfig, Shared};
 
-    /// The listener's registration token; connections start at 1.
+    /// The listener's registration token.
     const LISTENER_TOKEN: u64 = 0;
+
+    /// The shard's wake-up registration token.
+    const WAKE_TOKEN: u64 = 1;
+
+    /// The first connection token.
+    const FIRST_CONN_TOKEN: u64 = 2;
 
     /// Upper bound between housekeeping passes (timeout sweeps, drain
     /// checks): the loop wakes at least this often even when idle.
@@ -102,38 +122,95 @@ mod imp {
         listener: &TcpListener,
         config: &ServeConfig,
     ) -> io::Result<Vec<JoinHandle<()>>> {
-        let shards = config.workers.max(1);
-        // Create every poller before any thread spawns or the listener
-        // changes mode, so a failure here leaves nothing running.
-        let mut pollers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            pollers.push(Poller::new()?);
-        }
-        // Nonblocking applies to the shared file description: every
-        // shard's clone inherits it.
-        listener.set_nonblocking(true)?;
+        let count = config.workers.max(1);
+        let (links, wakes): (Vec<Link>, Vec<UnixStream>) =
+            (0..count).map(|_| Link::new()).collect::<io::Result<Vec<_>>>()?.into_iter().unzip();
+        let links: Arc<[Link]> = links.into();
         // Admission cap: `workers + queue_capacity` open connections. The
         // count is global so the cap holds whichever shard accepts.
-        let max_conns = shards + config.queue_capacity.max(1);
+        let max_conns = count + config.queue_capacity.max(1);
         let conn_count = Arc::new(AtomicUsize::new(0));
-        pollers
+        // Build and register every shard before any thread spawns or the
+        // listener changes mode, so a failure here leaves nothing running.
+        let shards = wakes
             .into_iter()
-            .map(|poller| {
+            .enumerate()
+            .map(|(index, wake)| {
                 let shard = Shard {
                     shared: Arc::clone(shared),
                     listener: listener.try_clone()?,
-                    poller,
+                    poller: Poller::new()?,
+                    index,
+                    links: Arc::clone(&links),
+                    wake,
                     conn_count: Arc::clone(&conn_count),
                     max_conns,
                     read_timeout: config.read_timeout,
                     write_timeout: config.write_timeout,
                     limits: config.limits,
                     conns: HashMap::new(),
-                    next_token: LISTENER_TOKEN + 1,
+                    next_token: FIRST_CONN_TOKEN,
+                    ready_reported: 0,
                 };
-                Ok(std::thread::spawn(move || shard.run()))
+                shard.poller.add_exclusive(shard.listener.as_raw_fd(), LISTENER_TOKEN)?;
+                shard.poller.add(shard.wake.as_raw_fd(), WAKE_TOKEN, false)?;
+                Ok(shard)
             })
-            .collect()
+            .collect::<io::Result<Vec<_>>>()?;
+        // Nonblocking applies to the shared file description: every
+        // shard's clone inherits it.
+        listener.set_nonblocking(true)?;
+        Ok(shards.into_iter().map(|shard| std::thread::spawn(move || shard.run())).collect())
+    }
+
+    /// What every shard can see of one shard: its load, and the way to
+    /// hand it a connection.
+    struct Link {
+        /// Connections the shard owns, including ones handed to it but not
+        /// yet registered. It only steers placement and publishes no other
+        /// data, so it is read and written `Relaxed`.
+        conns: AtomicUsize,
+        /// Connections handed to the shard; `None` once it has exited.
+        inbox: Mutex<Option<Vec<TcpStream>>>,
+        /// Write end of the shard's wake-up; the read end is registered in
+        /// the shard's own poller under [`WAKE_TOKEN`].
+        waker: UnixStream,
+    }
+
+    impl Link {
+        /// A link and the read end of its wake-up.
+        fn new() -> io::Result<(Link, UnixStream)> {
+            let (waker, wake) = UnixStream::pair()?;
+            waker.set_nonblocking(true)?;
+            wake.set_nonblocking(true)?;
+            let link =
+                Link { conns: AtomicUsize::new(0), inbox: Mutex::new(Some(Vec::new())), waker };
+            Ok((link, wake))
+        }
+
+        /// Closes the inbox unless a hand-off landed since the shard last
+        /// adopted; returns whether it closed.
+        fn close_inbox(&self) -> bool {
+            let mut inbox = self.inbox.lock();
+            if inbox.as_ref().is_some_and(|streams| !streams.is_empty()) {
+                return false;
+            }
+            *inbox = None;
+            true
+        }
+    }
+
+    /// Picks the shard for a new connection, the lowest index among those
+    /// owning the fewest, and counts the connection there. The choice
+    /// depends only on the counts, never on which shard accepted.
+    fn place(links: &[Link]) -> usize {
+        let target = links
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, link)| link.conns.load(Ordering::Relaxed))
+            .map_or(0, |(index, _)| index);
+        links[target].conns.fetch_add(1, Ordering::Relaxed);
+        target
     }
 
     /// One connection owned by a shard.
@@ -165,6 +242,11 @@ mod imp {
         shared: Arc<Shared>,
         listener: TcpListener,
         poller: Poller,
+        /// This shard's position in `links`.
+        index: usize,
+        links: Arc<[Link]>,
+        /// Read end of this shard's wake-up.
+        wake: UnixStream,
         conn_count: Arc<AtomicUsize>,
         max_conns: usize,
         read_timeout: Duration,
@@ -172,39 +254,53 @@ mod imp {
         limits: Limits,
         conns: HashMap<u64, Conn>,
         next_token: u64,
+        /// This shard's share of the `ready_conns` gauge.
+        ready_reported: i64,
     }
 
     impl Shard {
         fn run(mut self) {
-            if self.poller.add_exclusive(self.listener.as_raw_fd(), LISTENER_TOKEN).is_err() {
-                return; // dead poller: bail rather than spin
-            }
             let mut events: Vec<PollEvent> = Vec::new();
             loop {
                 events.clear();
                 let timeout = TICK.min(self.read_timeout);
                 let _ = self.poller.wait(&mut events, Some(timeout));
                 self.shared.metrics.event_loop_wakeups.inc();
-                self.shared.metrics.ready_conns.set(events.len() as i64);
+                let ready = events.iter().filter(|ev| ev.token >= FIRST_CONN_TOKEN).count();
+                self.report_ready(ready as i64);
                 for ev in events.iter().copied() {
-                    if ev.token == LISTENER_TOKEN {
-                        self.accept_burst();
-                    } else {
-                        self.drive(ev);
+                    match ev.token {
+                        LISTENER_TOKEN => self.accept_burst(),
+                        WAKE_TOKEN => self.adopt(),
+                        _ => self.drive(ev),
                     }
                 }
                 self.sweep_timeouts();
                 if self.shared.shutting_down.load(Ordering::SeqCst) {
+                    // Adopt first, so a connection handed over before the
+                    // flag flipped is drained here rather than lost.
+                    self.adopt();
                     self.drain();
-                    if self.conns.is_empty() {
+                    if self.conns.is_empty() && self.links[self.index].close_inbox() {
                         break;
                     }
                 }
             }
+            self.report_ready(0);
+        }
+
+        /// Moves the `ready_conns` gauge by the change in this shard's
+        /// share, so the gauge reads the sum over shards.
+        fn report_ready(&mut self, ready: i64) {
+            if ready != self.ready_reported {
+                self.shared.metrics.ready_conns.add(ready - self.ready_reported);
+                self.ready_reported = ready;
+            }
         }
 
         /// Accepts until the backlog is empty (the listener is
-        /// level-triggered, so anything left re-fires the next wait).
+        /// level-triggered, so anything left re-fires the next wait), and
+        /// places each connection on the least loaded shard.
         fn accept_burst(&mut self) {
             loop {
                 let stream = match self.listener.accept() {
@@ -227,26 +323,70 @@ mod imp {
                     self.conn_count.fetch_sub(1, Ordering::AcqRel);
                     continue;
                 }
-                let token = self.next_token;
-                self.next_token += 1;
-                if self.poller.add(stream.as_raw_fd(), token, false).is_err() {
-                    self.conn_count.fetch_sub(1, Ordering::AcqRel);
-                    continue;
+                match place(&self.links) {
+                    target if target == self.index => self.register(stream),
+                    target => self.hand_off(target, stream),
                 }
-                self.conns.insert(
-                    token,
-                    Conn {
-                        stream,
-                        inbuf: Vec::new(),
-                        outbuf: Vec::new(),
-                        out_pos: 0,
-                        last_activity: Instant::now(),
-                        close_after_flush: false,
-                        close_cause: "client",
-                        want_write: false,
-                    },
-                );
             }
+        }
+
+        /// Pushes a connection into another shard's inbox and wakes it. A
+        /// shard that has already exited for shutdown gets nothing: the
+        /// connection closes here, as that shard's drain would close it.
+        fn hand_off(&self, target: usize, stream: TcpStream) {
+            let link = &self.links[target];
+            let mut inbox = link.inbox.lock();
+            if let Some(streams) = inbox.as_mut() {
+                streams.push(stream);
+                // Written under the lock, so the target cannot exit in
+                // between; `WouldBlock` means a wake-up is already pending.
+                let _ = (&link.waker).write(&[1]);
+            } else {
+                self.release(target);
+                self.shared.metrics.conn_closed.inc("drain");
+            }
+        }
+
+        /// Registers every connection handed to this shard since the last
+        /// call, after reading its wake-up dry.
+        fn adopt(&mut self) {
+            let mut sink = [0u8; 64];
+            while matches!(self.wake.read(&mut sink), Ok(n) if n > 0) {}
+            let handed = self.links[self.index].inbox.lock().as_mut().map(std::mem::take);
+            for stream in handed.unwrap_or_default() {
+                self.register(stream);
+            }
+        }
+
+        /// Starts serving a connection this shard owns, whether it accepted
+        /// it or adopted it.
+        fn register(&mut self, stream: TcpStream) {
+            let token = self.next_token;
+            self.next_token += 1;
+            if self.poller.add(stream.as_raw_fd(), token, false).is_err() {
+                self.release(self.index);
+                return;
+            }
+            self.conns.insert(
+                token,
+                Conn {
+                    stream,
+                    inbuf: Vec::new(),
+                    outbuf: Vec::new(),
+                    out_pos: 0,
+                    last_activity: Instant::now(),
+                    close_after_flush: false,
+                    close_cause: "client",
+                    want_write: false,
+                },
+            );
+        }
+
+        /// Uncounts a connection of shard `owner`, both there and against
+        /// the admission cap.
+        fn release(&self, owner: usize) {
+            self.links[owner].conns.fetch_sub(1, Ordering::Relaxed);
+            self.conn_count.fetch_sub(1, Ordering::AcqRel);
         }
 
         /// Over-capacity admission: answer `503` inline and drop. The
@@ -314,7 +454,7 @@ mod imp {
         fn close(&mut self, token: u64, cause: &str) {
             if let Some(conn) = self.conns.remove(&token) {
                 let _ = self.poller.remove(conn.stream.as_raw_fd());
-                self.conn_count.fetch_sub(1, Ordering::AcqRel);
+                self.release(self.index);
                 self.shared.metrics.conn_closed.inc(cause);
             }
         }
@@ -445,6 +585,46 @@ mod imp {
         conn.outbuf.clear();
         conn.out_pos = 0;
         Flushed::Done
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::{place, Link, TcpListener, TcpStream};
+        use std::sync::atomic::Ordering;
+
+        fn links(count: usize) -> Vec<Link> {
+            (0..count).map(|_| Link::new().unwrap().0).collect()
+        }
+
+        #[test]
+        fn placement_picks_the_lowest_index_among_the_least_loaded() {
+            let links = links(4);
+            // All tied: lowest index first. A hand-off counts before the
+            // target registers it, so back-to-back picks spread.
+            let picks: Vec<usize> = (0..6).map(|_| place(&links)).collect();
+            assert_eq!(picks, [0, 1, 2, 3, 0, 1]);
+            // Counts [2, 2, 1, 1]: shards 2 and 3 tie, and 2 wins.
+            assert_eq!(place(&links), 2);
+            assert_eq!(place(&links), 3);
+            // A close on shard 1 makes it the only least loaded one.
+            links[1].conns.fetch_sub(1, Ordering::Relaxed);
+            assert_eq!(place(&links), 1);
+            let counts: Vec<usize> =
+                links.iter().map(|link| link.conns.load(Ordering::Relaxed)).collect();
+            assert_eq!(counts, [2, 2, 2, 2]);
+        }
+
+        #[test]
+        fn inbox_stays_open_while_a_hand_off_is_pending() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let (link, _wake) = Link::new().unwrap();
+            let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            link.inbox.lock().as_mut().unwrap().push(stream);
+            assert!(!link.close_inbox(), "a pending hand-off keeps the shard running");
+            assert_eq!(link.inbox.lock().as_mut().map(std::mem::take).unwrap().len(), 1);
+            assert!(link.close_inbox());
+            assert!(link.inbox.lock().is_none(), "a closed inbox refuses later hand-offs");
+        }
     }
 }
 

@@ -240,8 +240,9 @@ registry! {
         /// Connections queued for a router worker right now (the node's
         /// event loop has no queue, so a node always reports 0).
         pub queue_depth: Gauge,
-        /// Connections with readiness events in the event-loop pass being
-        /// processed right now (the readiness-loop analogue of queue depth).
+        /// Connections with readiness events in the poll batches the
+        /// event-loop shards are processing right now, summed over shards
+        /// (the readiness-loop analogue of queue depth).
         pub ready_conns: Gauge,
         /// Event-loop wakeups: returns from a shard's poll, timeouts
         /// included.

@@ -3,8 +3,10 @@
 //! [`start`] binds the listener, opens the training store and hands every
 //! connection to the sharded readiness loop in `eventloop`: `workers`
 //! shard threads, each running a nonblocking poller over its own
-//! connections (epoll on Linux, `poll(2)` on other unix targets). There is
-//! no thread per connection and no queue. Admission is bounded: beyond
+//! connections (epoll on Linux, `poll(2)` on other unix targets). Each
+//! accepted connection goes to the shard that owns the fewest, the
+//! lowest-numbered on a tie, and stays there. There is no thread per
+//! connection and no queue. Admission is bounded: beyond
 //! `workers + queue_capacity` open connections a new one gets an inline
 //! `503`. On non-unix targets `start` fails with `Unsupported`.
 //!
@@ -12,7 +14,8 @@
 //! handlers, the store, the world and the cluster role.
 //!
 //! Shutdown is graceful: the flag flips, a self-connect wakes a shard,
-//! and each shard finishes the responses it holds before exiting.
+//! and each shard takes in any connection handed to it and finishes the
+//! responses it holds before exiting.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;

@@ -63,7 +63,9 @@ trap cleanup EXIT INT TERM
 await_port() {
     PORT=""
     for _ in $(seq 1 50); do
-        PORT="$(sed -n 's/.*listening on http:\/\/[0-9.]*:\([0-9]*\).*/\1/p' "$1")"
+        # The log appears only once the backgrounded process opens its
+        # redirect; until then the process is simply not up yet.
+        [ -f "$1" ] && PORT="$(sed -n 's/.*listening on http:\/\/[0-9.]*:\([0-9]*\).*/\1/p' "$1")"
         [ -n "$PORT" ] && return 0
         sleep 0.1
     done

@@ -20,7 +20,10 @@ cargo test -q --workspace
 
 # The benchmark harness builds against cp-serve's public API in its own
 # workspace: testing it here makes an API change that breaks the
-# benchmark fail verification instead of the benchmark run.
+# benchmark fail verification instead of the benchmark run. Being its
+# own workspace, it is also outside the fmt and clippy runs above.
+cargo fmt --check --manifest-path perfbench/harness/Cargo.toml
+cargo clippy --manifest-path perfbench/harness/Cargo.toml --all-targets -- -D warnings
 cargo test --manifest-path perfbench/harness/Cargo.toml
 
 # Serve smoke: a short multi-connection loadgen run against the readiness
@@ -57,4 +60,4 @@ SMOKE=1 ./scripts/bench_crawl.sh
 # must be demoted within the ack deadline instead of blocking writes.
 SMOKE=1 ./scripts/cluster.sh
 
-echo "verify: fmt + clippy + rustdoc + build + tests + harness tests + serve smoke + detect smoke + world smoke + chaos smoke + crash smoke + crawl smoke + cluster smoke passed offline"
+echo "verify: fmt + clippy + rustdoc + build + tests + harness fmt + clippy + tests + serve smoke + detect smoke + world smoke + chaos smoke + crash smoke + crawl smoke + cluster smoke passed offline"

@@ -405,6 +405,66 @@ fn close_cause_metrics_cover_clean_and_shed_paths() {
     assert_eq!(server.metrics().conn_closed.get("shed"), 1);
 }
 
+/// A `/v1/classify` body whose two pages hold `siblings` sibling `<div>`s
+/// each: tree matching costs the product of the two counts.
+fn wide_classify(siblings: usize) -> Vec<u8> {
+    let page = |word: &str| {
+        let divs: String = (0..siblings).map(|i| format!("<div><p>{word} {i}</p></div>")).collect();
+        format!("<html><body>{divs}</body></html>")
+    };
+    Json::object()
+        .set("regular", page("cart"))
+        .set("hidden", page("guest"))
+        .to_compact()
+        .into_bytes()
+}
+
+#[test]
+fn connections_opened_one_after_another_are_served_in_parallel() {
+    let server = start(ServeConfig {
+        workers: 4,
+        read_timeout: Duration::from_secs(10),
+        write_timeout: Duration::from_secs(10),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    // Open A, then B, each confirmed by `/healthz`, the way the benchmark
+    // client opens its connections. The pause lets A's shard go back to
+    // its poll first; left to the kernel's wake-up, B would join A there.
+    let open = || {
+        let mut conn = connect(&server);
+        write_request(conn.stream_mut(), "GET", "/healthz", "127.0.0.1", b"").unwrap();
+        assert_eq!(conn.read_response().unwrap().status, 200);
+        conn
+    };
+    let mut a = open();
+    std::thread::sleep(Duration::from_millis(50));
+    let mut b = open();
+    // A classify that takes a few hundred milliseconds in a debug build.
+    write_request(a.stream_mut(), "POST", "/v1/classify", "127.0.0.1", &wide_classify(600))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    let mut get = |target: &str| {
+        write_request(b.stream_mut(), "GET", target, "127.0.0.1", b"").unwrap();
+        let resp = b.read_response().unwrap();
+        assert_eq!(resp.status, 200, "{target}");
+        resp.body_string()
+    };
+    get("/healthz");
+    let metrics = get("/metrics");
+    // B was answered while A's response is still pending: they do not
+    // share a shard.
+    use std::io::Read as _;
+    a.stream_mut().set_nonblocking(true).unwrap();
+    let pending = a.stream_mut().read(&mut [0u8; 1]).map_err(|e| e.kind());
+    assert_eq!(pending, Err(std::io::ErrorKind::WouldBlock), "B waited behind A's classify");
+    // Both shards were inside a poll batch at the scrape: the gauge sums
+    // them.
+    assert!(metrics.lines().any(|line| line == "cp_ready_conns 2"), "{metrics}");
+    a.stream_mut().set_nonblocking(false).unwrap();
+    assert_eq!(a.read_response().unwrap().status, 200);
+}
+
 #[test]
 fn response_writer_is_parseable_by_own_client() {
     // Round-trip sanity for the shared wire layer used by both sides.
