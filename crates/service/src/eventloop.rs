@@ -1,4 +1,5 @@
-//! The node's serving path: sharded nonblocking event loops.
+//! The serving path of the node and the router: sharded nonblocking
+//! event loops.
 //!
 //! `workers` shard threads each own a [`cp_runtime::net::Poller`], a slice
 //! of connections, and a clone of the shared listener. On Linux the
@@ -24,62 +25,52 @@
 //! per-connection threads and no locks on the hot path: a request is read,
 //! parsed, routed, recorded, and serialized entirely on its shard.
 //!
-//! The two per-connection decisions, [`reply_parse_error`] and
-//! [`close_cause`], are shared with the router's connection loop so both
-//! answer and account alike. On non-unix targets [`spawn`] fails with
-//! `Unsupported`.
+//! What a request means is the [`Handler`]'s business: the node and the
+//! router each implement it once, and everything else — placement,
+//! admission, timeouts, parse errors, close causes, the shed answer and
+//! the loop's metrics — is this module's, so both tiers serve alike. A
+//! handler call that blocks, such as the router's proxied request or a
+//! node's quorum write, holds its shard for that one call. On non-unix
+//! targets [`spawn`] fails with `Unsupported`.
 
-use std::io::{self, Write};
+use std::borrow::Cow;
+use std::io;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::http::{write_response, HttpError, HttpRequest};
+use crate::http::HttpRequest;
 use crate::metrics::{Endpoint, ServiceMetrics};
-use crate::server::{error_json, ServeConfig, Shared};
+use crate::server::ServeConfig;
 
-/// Spawns one event-loop shard thread per `config.workers`.
-pub(crate) fn spawn(
-    shared: &Arc<Shared>,
+/// A routed request: the endpoint it is recorded under, the status, the
+/// content type and the body.
+pub(crate) type Routed = (Endpoint, u16, Cow<'static, str>, Vec<u8>);
+
+/// What the event loop serves: the node's state in `server` and the
+/// router's in `router` each implement it once.
+pub(crate) trait Handler: Send + Sync + 'static {
+    /// State each shard keeps across requests, owned by its thread.
+    type Shard: Default + Send;
+
+    /// The registry the loop records requests and connections in.
+    fn metrics(&self) -> &ServiceMetrics;
+
+    /// Whether shutdown has begun: shards drain and exit.
+    fn shutting_down(&self) -> bool;
+
+    /// Answers one request.
+    fn route(&self, shard: &mut Self::Shard, request: &HttpRequest) -> Routed;
+}
+
+/// Spawns one event-loop shard thread per `config.workers`, serving
+/// `handler` on `listener`.
+pub(crate) fn spawn<H: Handler>(
+    handler: &Arc<H>,
     listener: &TcpListener,
     config: &ServeConfig,
 ) -> io::Result<Vec<JoinHandle<()>>> {
-    imp::spawn(shared, listener, config)
-}
-
-/// Answers a request that failed to parse on `out` and records it: `413`
-/// for a declared body over the cap, `400` otherwise. The connection
-/// closes after it with cause `error`, because framing may be lost.
-pub(crate) fn reply_parse_error(
-    metrics: &ServiceMetrics,
-    err: &HttpError,
-    out: &mut impl Write,
-) -> io::Result<()> {
-    let (status, reason, msg) = match err {
-        HttpError::BodyTooLarge => (413, "Payload Too Large", "body too large".to_string()),
-        // Malformed / HeadTooLarge / BadVersion.
-        _ => (400, "Bad Request", err.to_string()),
-    };
-    metrics.record(Endpoint::Other, status, 0);
-    write_response(out, status, reason, "application/json", &error_json(&msg), false)
-}
-
-/// Whether the response to `request` ends its connection, and under which
-/// `cp_conn_closed_total` cause; `None` keeps the connection alive.
-pub(crate) fn close_cause(
-    request: &HttpRequest,
-    status: u16,
-    draining: bool,
-) -> Option<&'static str> {
-    if !request.keep_alive() {
-        Some("client") // HTTP/1.0 or an explicit `Connection: close`
-    } else if draining {
-        Some("drain")
-    } else if status >= 500 {
-        Some("error") // 5xx: close so the peer re-syncs on a fresh conn
-    } else {
-        None
-    }
+    imp::spawn(handler, listener, config)
 }
 
 #[cfg(unix)]
@@ -97,9 +88,13 @@ mod imp {
     use cp_runtime::net::{PollEvent, Poller};
     use cp_runtime::sync::Mutex;
 
-    use super::{close_cause, reply_parse_error};
-    use crate::http::{append_response, parse_request_buffer, write_response, HttpRequest, Limits};
-    use crate::server::{error_json, route, ServeConfig, Shared};
+    use super::Handler;
+    use crate::http::{
+        append_response, parse_request_buffer, reason, write_response, HttpError, HttpRequest,
+        Limits,
+    };
+    use crate::metrics::{Endpoint, ServiceMetrics};
+    use crate::server::{error_json, ServeConfig};
 
     /// The listener's registration token.
     const LISTENER_TOKEN: u64 = 0;
@@ -117,8 +112,8 @@ mod imp {
     /// Per-`read` chunk size; larger requests just take extra reads.
     const READ_CHUNK: usize = 16 * 1024;
 
-    pub(crate) fn spawn(
-        shared: &Arc<Shared>,
+    pub(crate) fn spawn<H: Handler>(
+        handler: &Arc<H>,
         listener: &TcpListener,
         config: &ServeConfig,
     ) -> io::Result<Vec<JoinHandle<()>>> {
@@ -137,7 +132,8 @@ mod imp {
             .enumerate()
             .map(|(index, wake)| {
                 let shard = Shard {
-                    shared: Arc::clone(shared),
+                    handler: Arc::clone(handler),
+                    state: H::Shard::default(),
                     listener: listener.try_clone()?,
                     poller: Poller::new()?,
                     index,
@@ -238,8 +234,10 @@ mod imp {
         Failed,
     }
 
-    struct Shard {
-        shared: Arc<Shared>,
+    struct Shard<H: Handler> {
+        handler: Arc<H>,
+        /// The handler's state for this shard.
+        state: H::Shard,
         listener: TcpListener,
         poller: Poller,
         /// This shard's position in `links`.
@@ -258,14 +256,14 @@ mod imp {
         ready_reported: i64,
     }
 
-    impl Shard {
+    impl<H: Handler> Shard<H> {
         fn run(mut self) {
             let mut events: Vec<PollEvent> = Vec::new();
             loop {
                 events.clear();
                 let timeout = TICK.min(self.read_timeout);
                 let _ = self.poller.wait(&mut events, Some(timeout));
-                self.shared.metrics.event_loop_wakeups.inc();
+                self.handler.metrics().event_loop_wakeups.inc();
                 let ready = events.iter().filter(|ev| ev.token >= FIRST_CONN_TOKEN).count();
                 self.report_ready(ready as i64);
                 for ev in events.iter().copied() {
@@ -276,7 +274,7 @@ mod imp {
                     }
                 }
                 self.sweep_timeouts();
-                if self.shared.shutting_down.load(Ordering::SeqCst) {
+                if self.handler.shutting_down() {
                     // Adopt first, so a connection handed over before the
                     // flag flipped is drained here rather than lost.
                     self.adopt();
@@ -293,7 +291,7 @@ mod imp {
         /// share, so the gauge reads the sum over shards.
         fn report_ready(&mut self, ready: i64) {
             if ready != self.ready_reported {
-                self.shared.metrics.ready_conns.add(ready - self.ready_reported);
+                self.handler.metrics().ready_conns.add(ready - self.ready_reported);
                 self.ready_reported = ready;
             }
         }
@@ -309,10 +307,10 @@ mod imp {
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => break,
                 };
-                if self.shared.shutting_down.load(Ordering::SeqCst) {
+                if self.handler.shutting_down() {
                     continue; // the shutdown wake-up self-connect, or a late arrival
                 }
-                self.shared.metrics.connections_total.inc();
+                self.handler.metrics().connections_total.inc();
                 if self.conn_count.fetch_add(1, Ordering::AcqRel) >= self.max_conns {
                     self.conn_count.fetch_sub(1, Ordering::AcqRel);
                     self.shed(stream);
@@ -343,7 +341,7 @@ mod imp {
                 let _ = (&link.waker).write(&[1]);
             } else {
                 self.release(target);
-                self.shared.metrics.conn_closed.inc("drain");
+                self.handler.metrics().conn_closed.inc("drain");
             }
         }
 
@@ -394,25 +392,20 @@ mod imp {
         /// registration — it either lands in the socket buffer or the
         /// write timeout gives up.
         fn shed(&self, mut stream: TcpStream) {
-            self.shared.metrics.rejected_total.inc();
-            self.shared.metrics.conn_closed.inc("shed");
+            let metrics = self.handler.metrics();
+            metrics.rejected_total.inc();
+            metrics.conn_closed.inc("shed");
             let _ = stream.set_write_timeout(Some(self.write_timeout));
             let body = error_json("server overloaded");
-            let _ = write_response(
-                &mut stream,
-                503,
-                "Service Unavailable",
-                "application/json",
-                &body,
-                false,
-            );
+            let _ = write_response(&mut stream, 503, reason(503), "application/json", &body, false);
         }
 
         /// One readiness event on a connection: read + serve, then flush.
         fn drive(&mut self, ev: PollEvent) {
             let Some(conn) = self.conns.get_mut(&ev.token) else { return };
             if ev.readable && !conn.close_after_flush {
-                if let Some(cause) = fill_and_serve(&self.shared, &self.limits, conn) {
+                let served = fill_and_serve(&*self.handler, &mut self.state, &self.limits, conn);
+                if let Some(cause) = served {
                     self.close(ev.token, cause);
                     return;
                 }
@@ -455,7 +448,7 @@ mod imp {
             if let Some(conn) = self.conns.remove(&token) {
                 let _ = self.poller.remove(conn.stream.as_raw_fd());
                 self.release(self.index);
-                self.shared.metrics.conn_closed.inc(cause);
+                self.handler.metrics().conn_closed.inc(cause);
             }
         }
 
@@ -501,7 +494,12 @@ mod imp {
     /// the buffer (pipelining included), and returns a close cause when
     /// the connection is already finished (EOF or transport error) —
     /// `None` means keep it registered.
-    fn fill_and_serve(shared: &Shared, limits: &Limits, conn: &mut Conn) -> Option<&'static str> {
+    fn fill_and_serve<H: Handler>(
+        handler: &H,
+        state: &mut H::Shard,
+        limits: &Limits,
+        conn: &mut Conn,
+    ) -> Option<&'static str> {
         let mut chunk = [0u8; READ_CHUNK];
         let mut eof = false;
         loop {
@@ -526,11 +524,11 @@ mod imp {
             match parse_request_buffer(&conn.inbuf, limits) {
                 Ok(Some((request, consumed))) => {
                     conn.inbuf.drain(..consumed);
-                    serve_request(shared, conn, &request);
+                    serve_request(handler, state, conn, &request);
                 }
                 Ok(None) => break,
                 Err(err) => {
-                    let _ = reply_parse_error(&shared.metrics, &err, &mut conn.outbuf);
+                    reply_parse_error(handler.metrics(), &err, &mut conn.outbuf);
                     conn.close_after_flush = true;
                     conn.close_cause = "error";
                 }
@@ -552,20 +550,54 @@ mod imp {
 
     /// Routes one parsed request and appends the response — head and body
     /// assembled contiguously so the flush is a single `write`.
-    fn serve_request(shared: &Shared, conn: &mut Conn, request: &HttpRequest) {
+    fn serve_request<H: Handler>(
+        handler: &H,
+        state: &mut H::Shard,
+        conn: &mut Conn,
+        request: &HttpRequest,
+    ) {
         let started = Instant::now();
-        let (endpoint, status, reason, content_type, body) = route(shared, request);
+        let (endpoint, status, content_type, body) = handler.route(state, request);
         // Re-read after routing: `/v1/shutdown` flips the flag and its own
         // response must already carry `Connection: close`.
-        let close = close_cause(request, status, shared.shutting_down.load(Ordering::SeqCst));
+        let close = close_cause(request, status, handler.shutting_down());
         // Record BEFORE the bytes leave: anyone who has seen the response
         // (e.g. a load generator cross-checking /metrics after its last
         // request) must also see its counters.
-        shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
-        append_response(&mut conn.outbuf, status, reason, content_type, &body, close.is_none());
+        handler.metrics().record(endpoint, status, started.elapsed().as_micros() as u64);
+        let keep_alive = close.is_none();
+        append_response(&mut conn.outbuf, status, reason(status), &content_type, &body, keep_alive);
         if let Some(cause) = close {
             conn.close_after_flush = true;
             conn.close_cause = cause;
+        }
+    }
+
+    /// Answers a request that failed to parse and records it: `413` for a
+    /// declared body over the cap, `400` otherwise. The connection closes
+    /// after it with cause `error`, because framing may be lost.
+    fn reply_parse_error(metrics: &ServiceMetrics, err: &HttpError, out: &mut Vec<u8>) {
+        let (status, msg) = match err {
+            HttpError::BodyTooLarge => (413, "body too large".to_string()),
+            // Malformed / HeadTooLarge / BadVersion.
+            _ => (400, err.to_string()),
+        };
+        metrics.record(Endpoint::Other, status, 0);
+        append_response(out, status, reason(status), "application/json", &error_json(&msg), false);
+    }
+
+    /// Whether the response to `request` ends its connection, and under
+    /// which `cp_conn_closed_total` cause; `None` keeps the connection
+    /// alive.
+    fn close_cause(request: &HttpRequest, status: u16, draining: bool) -> Option<&'static str> {
+        if !request.keep_alive() {
+            Some("client") // HTTP/1.0 or an explicit `Connection: close`
+        } else if draining {
+            Some("drain")
+        } else if status >= 500 {
+            Some("error") // 5xx: close so the peer re-syncs on a fresh conn
+        } else {
+            None
         }
     }
 
@@ -630,10 +662,10 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    use super::{io, Arc, JoinHandle, ServeConfig, Shared, TcpListener};
+    use super::{io, Arc, Handler, JoinHandle, ServeConfig, TcpListener};
 
-    pub(crate) fn spawn(
-        _shared: &Arc<Shared>,
+    pub(crate) fn spawn<H: Handler>(
+        _handler: &Arc<H>,
         _listener: &TcpListener,
         _config: &ServeConfig,
     ) -> io::Result<Vec<JoinHandle<()>>> {

@@ -320,6 +320,20 @@ pub fn parse_request_buffer(
     Ok(Some((HttpRequest { method, target, http11, headers, body }, head_len + body_len)))
 }
 
+/// The reason phrase for a status the service answers with; `"Status"`
+/// for any other.
+pub fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        409 => "Conflict",
+        413 => "Payload Too Large",
+        503 => "Service Unavailable",
+        _ => "Status",
+    }
+}
+
 /// Serializes a response message onto `out` — head and body in one
 /// contiguous buffer, so the caller can flush it in a single write.
 /// `Content-Length` and `Connection` are always emitted.
@@ -620,6 +634,21 @@ mod tests {
         let mut sink = CountingStream::default();
         write_request(&mut sink, "POST", "/v1/classify", "h", b"{}").unwrap();
         assert_eq!(sink.writes, 1, "request writer gets the same single-write treatment");
+    }
+
+    #[test]
+    fn every_status_the_service_sends_has_its_reason_phrase() {
+        for (status, phrase) in [
+            (200, "OK"),
+            (400, "Bad Request"),
+            (404, "Not Found"),
+            (409, "Conflict"),
+            (413, "Payload Too Large"),
+            (503, "Service Unavailable"),
+        ] {
+            assert_eq!(reason(status), phrase);
+        }
+        assert_eq!(reason(418), "Status");
     }
 
     #[test]

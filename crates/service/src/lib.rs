@@ -23,8 +23,9 @@
 //! layer), [`world`] is the embedded deterministic site population,
 //! [`metrics`] is the atomic registry, [`server`] wires them behind the
 //! sharded readiness loop (epoll on Linux, `poll(2)` on other unix
-//! targets; the node's only serving path), and [`loadgen`] is the seeded
-//! closed-loop client that benchmarks the whole stack.
+//! targets; the only serving path, for the node and the router alike), and
+//! [`loadgen`] is the seeded closed-loop client that benchmarks the whole
+//! stack.
 //!
 //! Cluster mode layers on top: [`replication`] ships every applied WAL
 //! record from a primary to its followers over the WAL's own frame format

@@ -10,7 +10,7 @@
 //! cp_requests_total{endpoint="visit"} 9000
 //! cp_request_micros_bucket{route="visit",le="1024"} 4123
 //! cp_decisions_total{verdict="useful"} 211
-//! cp_queue_depth 0
+//! cp_ready_conns 0
 //! ```
 //!
 //! Adding a metric takes one field in [`ServiceMetrics`] and one row in
@@ -36,7 +36,7 @@ pub const SITE_DERIVE_RESULTS: [&str; 3] = ["hit", "miss", "unknown"];
 /// `client` covers clean peer closes and client-requested closes
 /// (HTTP/1.0, `Connection: close`); `timeout` a stalled read (slowloris,
 /// half-sent body); `error` protocol violations (400/413); `shed` the
-/// acceptor's inline 503; `drain` keep-alives ended by shutdown;
+/// inline 503 past the admission cap; `drain` keep-alives ended by shutdown;
 /// `write_failed` a response the peer stopped reading.
 pub const CONN_CLOSE_CAUSES: [&str; 6] =
     ["client", "timeout", "error", "shed", "drain", "write_failed"];
@@ -237,21 +237,16 @@ registry! {
         /// Time to derive one site from the universe (cache misses only), in
         /// microseconds.
         pub site_derive_micros: Histogram = Histogram::with_bounds(&DETECTION_BUCKETS_MICROS),
-        /// Connections queued for a router worker right now (the node's
-        /// event loop has no queue, so a node always reports 0).
-        pub queue_depth: Gauge,
         /// Connections with readiness events in the poll batches the
-        /// event-loop shards are processing right now, summed over shards
-        /// (the readiness-loop analogue of queue depth).
+        /// event-loop shards are processing right now, summed over shards.
         pub ready_conns: Gauge,
         /// Event-loop wakeups: returns from a shard's poll, timeouts
         /// included.
         pub event_loop_wakeups: Counter,
         /// Connections accepted over the server's lifetime.
         pub connections_total: Counter,
-        /// Connections answered `503` and closed at accept: a node past its
-        /// `workers + queue_capacity` admission cap, or a router whose
-        /// accept queue was full.
+        /// Connections answered `503` and closed at accept, past the
+        /// `workers + queue_capacity` admission cap.
         pub rejected_total: Counter,
         /// Connection closes by [`CONN_CLOSE_CAUSES`] cause.
         pub conn_closed: LabeledCounter = LabeledCounter::new(&CONN_CLOSE_CAUSES),
@@ -386,7 +381,6 @@ impl ServiceMetrics {
             Family::labeled("cp_analysis_cache_total", "result", &self.analysis_cache),
             Family::labeled("cp_site_derive_total", "result", &self.site_derive),
             Family::histogram("cp_site_derive_micros", &self.site_derive_micros),
-            Family::gauge("cp_queue_depth", &self.queue_depth),
             Family::gauge("cp_ready_conns", &self.ready_conns),
             Family::counter("cp_event_loop_wakeups_total", &self.event_loop_wakeups),
             Family::counter("cp_connections_total", &self.connections_total),
@@ -627,13 +621,13 @@ mod tests {
         m.decisions.inc("useful");
         m.decisions.inc("noise");
         m.decisions.inc("noise");
-        m.queue_depth.set(3);
+        m.ready_conns.set(3);
         let text = m.render_prometheus();
         assert_eq!(scrape_counter(&text, "cp_requests_total{endpoint=\"healthz\"}"), Some(1));
         assert_eq!(scrape_counter(&text, "cp_requests_total{endpoint=\"visit\"}"), Some(0));
         assert_eq!(scrape_counter(&text, "cp_decisions_total{verdict=\"useful\"}"), Some(1));
         assert_eq!(scrape_counter(&text, "cp_decisions_total{verdict=\"noise\"}"), Some(2));
-        assert_eq!(scrape_counter(&text, "cp_queue_depth"), Some(3));
+        assert_eq!(scrape_counter(&text, "cp_ready_conns"), Some(3));
         assert!(text.contains("cp_request_micros_bucket{route=\"healthz\",le=\"64\"} 1"));
         assert!(text.contains("le=\"+Inf\""));
         assert_eq!(scrape_counter(&text, "nope"), None);

@@ -22,11 +22,19 @@
 //! A proxy failure is answered `503 backend unavailable` — the client
 //! retries through its normal budget and lands on the promoted primary
 //! once the heartbeat loop has fenced the dead one.
+//!
+//! The router serves on the node's event loop: `workers` shards, plus the
+//! one heartbeat thread. Connection placement, the `workers + 128`
+//! admission cap with its `503 {"error":"server overloaded"}` answer, the
+//! 5 s read and write timeouts, parse errors, close causes and the loop's
+//! metrics are the node's own. Each shard keeps one keep-alive client per
+//! backend it has proxied to, and a proxied request holds its shard for
+//! one upstream round trip.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -34,11 +42,12 @@ use std::time::{Duration, Instant};
 use cp_runtime::json::Json;
 use cp_runtime::sync::Mutex;
 
-use crate::eventloop::{close_cause, reply_parse_error};
-use crate::http::{write_response, HttpConn, HttpError, HttpRequest, Limits};
+use crate::eventloop::{Handler, Routed};
+use crate::http::HttpRequest;
 use crate::loadgen::Client;
 use crate::metrics::{Endpoint, ServiceMetrics};
 use crate::replication::ReplAckPolicy;
+use crate::server::{error_json, json, ServeConfig};
 
 /// Virtual points each backend contributes to the consistent-hash ring —
 /// enough to keep the load split within a few percent of even across a
@@ -94,7 +103,8 @@ pub struct RouterConfig {
     pub host: String,
     /// Port to bind; `0` picks a free port.
     pub port: u16,
-    /// Worker threads proxying connections.
+    /// Event-loop shards serving client connections, as
+    /// [`ServeConfig::workers`] counts them for a node.
     pub workers: usize,
     /// The cluster, in lead-preference order: backend 0 is the initial
     /// primary, the rest its followers.
@@ -159,6 +169,27 @@ struct RouterShared {
     last_promotion_seq: AtomicU64,
 }
 
+/// Keep-alive backend clients by backend index. Each shard and the
+/// heartbeat loop keep their own; a failed backend's client is dropped so
+/// the next request dials fresh.
+type Clients = HashMap<usize, Client>;
+
+impl Handler for RouterShared {
+    type Shard = Clients;
+
+    fn metrics(&self) -> &ServiceMetrics {
+        &self.metrics
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::SeqCst)
+    }
+
+    fn route(&self, clients: &mut Clients, request: &HttpRequest) -> Routed {
+        route(self, clients, request)
+    }
+}
+
 impl RouterShared {
     fn begin_shutdown(&self) {
         if !self.shutting_down.swap(true, Ordering::SeqCst) {
@@ -174,8 +205,8 @@ impl RouterShared {
 /// A running router. Dropping the handle shuts it down.
 pub struct RouterHandle {
     shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The event-loop shards and the heartbeat loop.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl RouterHandle {
@@ -199,13 +230,10 @@ impl RouterHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Blocks until the acceptor, workers, and heartbeat loop have exited.
+    /// Blocks until the shards and the heartbeat loop have exited.
     pub fn wait(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -218,8 +246,8 @@ impl Drop for RouterHandle {
 }
 
 /// Binds the router, leads backend 0 at generation 1, and starts the
-/// heartbeat and serving threads. Fails when no backend accepts the
-/// initial lead within `LEAD_ATTEMPTS` tries.
+/// heartbeat thread and the event-loop shards. Fails when no backend
+/// accepts the initial lead within `LEAD_ATTEMPTS` tries.
 pub fn start_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
     if config.backends.is_empty() {
         return Err(std::io::Error::other("router needs at least one backend"));
@@ -260,21 +288,12 @@ pub fn start_router(config: RouterConfig) -> std::io::Result<RouterHandle> {
         let threshold = config.miss_threshold.max(1) as u64;
         std::thread::spawn(move || heartbeat_loop(&shared, interval, threshold))
     };
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(128);
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
-        .map(|_| {
-            let shared = Arc::clone(&shared);
-            let rx = Arc::clone(&rx);
-            std::thread::spawn(move || worker_loop(&shared, &rx))
-        })
-        .collect();
-    workers.push(heartbeat);
-    let acceptor = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || accept_loop(&shared, &listener, &tx))
-    };
-    Ok(RouterHandle { shared, acceptor: Some(acceptor), workers })
+    // From here on, dropping the handle — on the error return below too —
+    // shuts down and joins whatever has started.
+    let mut handle = RouterHandle { shared, threads: vec![heartbeat] };
+    let serve = ServeConfig { workers: config.workers, ..ServeConfig::default() };
+    handle.threads.extend(crate::eventloop::spawn(&handle.shared, &listener, &serve)?);
+    Ok(handle)
 }
 
 /// Leads backend 0 at generation 1 with every other backend as a
@@ -331,54 +350,35 @@ fn build_ring(backends: &[BackendAddr]) -> Vec<(u64, usize)> {
 }
 
 /// Walks the ring clockwise from the key's hash to the first alive
-/// backend; `fallback` (the primary) when everything is down.
+/// backend that is not `skip`; `None` when there is none.
+fn ring_walk(
+    ring: &[(u64, usize)],
+    states: &[BackendState],
+    key: &[u8],
+    skip: Option<usize>,
+) -> Option<usize> {
+    let hash = ring_hash(key);
+    let start = ring.partition_point(|(point, _)| *point < hash);
+    (0..ring.len())
+        .map(|step| ring[(start + step) % ring.len()].1)
+        .find(|&idx| Some(idx) != skip && states[idx].alive.load(Ordering::Acquire))
+}
+
+/// The first alive backend clockwise from the key's hash; `fallback` (the
+/// primary) when everything is down.
 fn ring_route(
     ring: &[(u64, usize)],
     states: &[BackendState],
     key: &[u8],
     fallback: usize,
 ) -> usize {
-    if ring.is_empty() {
-        return fallback;
-    }
-    let hash = ring_hash(key);
-    let start = ring.partition_point(|(point, _)| *point < hash) % ring.len();
-    for step in 0..ring.len() {
-        let (_, idx) = ring[(start + step) % ring.len()];
-        if states[idx].alive.load(Ordering::Acquire) {
-            return idx;
-        }
-    }
-    fallback
-}
-
-/// The first alive backend clockwise from the key's hash that is NOT
-/// `skip` — the one-hop read-failover target when `skip` just failed a
-/// proxied read. `None` when no other backend is alive.
-fn ring_next(
-    ring: &[(u64, usize)],
-    states: &[BackendState],
-    key: &[u8],
-    skip: usize,
-) -> Option<usize> {
-    if ring.is_empty() {
-        return None;
-    }
-    let hash = ring_hash(key);
-    let start = ring.partition_point(|(point, _)| *point < hash) % ring.len();
-    for step in 0..ring.len() {
-        let (_, idx) = ring[(start + step) % ring.len()];
-        if idx != skip && states[idx].alive.load(Ordering::Acquire) {
-            return Some(idx);
-        }
-    }
-    None
+    ring_walk(ring, states, key, None).unwrap_or(fallback)
 }
 
 /// Polls every backend's `/healthz`, tallies misses, and promotes when the
 /// primary goes dark.
 fn heartbeat_loop(shared: &Arc<RouterShared>, interval: Duration, threshold: u64) {
-    let mut clients: HashMap<usize, Client> = HashMap::new();
+    let mut clients = Clients::new();
     while !shared.shutting_down.load(Ordering::SeqCst) {
         for idx in 0..shared.backends.len() {
             let ok = probe_backend(shared, &mut clients, idx);
@@ -413,11 +413,7 @@ fn heartbeat_loop(shared: &Arc<RouterShared>, interval: Duration, threshold: u64
 
 /// One heartbeat: fetches a backend's `/healthz` and records its applied
 /// sequence and witnessed generation. `false` on any failure.
-fn probe_backend(
-    shared: &Arc<RouterShared>,
-    clients: &mut HashMap<usize, Client>,
-    idx: usize,
-) -> bool {
+fn probe_backend(shared: &Arc<RouterShared>, clients: &mut Clients, idx: usize) -> bool {
     let Some((host, port)) = shared.backends[idx].http_parts() else { return false };
     let client = clients
         .entry(idx)
@@ -445,7 +441,7 @@ fn probe_backend(
 /// Promotes the alive backend with the highest applied sequence at
 /// `generation + 1`. A failed lead leaves everything unchanged — the next
 /// heartbeat tick retries.
-fn try_promote(shared: &Arc<RouterShared>, clients: &mut HashMap<usize, Client>) {
+fn try_promote(shared: &Arc<RouterShared>, clients: &mut Clients) {
     let candidate = (0..shared.backends.len())
         .filter(|&idx| shared.alive(idx))
         .max_by_key(|&idx| shared.states[idx].applied_seq.load(Ordering::Acquire));
@@ -478,116 +474,9 @@ fn try_promote(shared: &Arc<RouterShared>, clients: &mut HashMap<usize, Client>)
     }
 }
 
-fn accept_loop(shared: &RouterShared, listener: &TcpListener, tx: &SyncSender<TcpStream>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) if shared.shutting_down.load(Ordering::SeqCst) => break,
-            Err(_) => continue,
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        shared.metrics.connections_total.inc();
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let _ = stream.set_nodelay(true);
-        match tx.try_send(stream) {
-            Ok(()) => shared.metrics.queue_depth.inc(),
-            Err(TrySendError::Full(mut stream)) => {
-                shared.metrics.rejected_total.inc();
-                shared.metrics.conn_closed.inc("shed");
-                let body = br#"{"error":"router overloaded"}"#;
-                let _ = write_response(
-                    &mut stream,
-                    503,
-                    "Service Unavailable",
-                    "application/json",
-                    body,
-                    false,
-                );
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
-    }
-}
-
-fn worker_loop(shared: &RouterShared, rx: &Mutex<Receiver<TcpStream>>) {
-    // Backend clients are cached per worker: the proxy path reuses
-    // keep-alive connections, and a failed backend's client is dropped so
-    // the next request dials fresh.
-    let mut clients: HashMap<usize, Client> = HashMap::new();
-    loop {
-        let stream = rx.lock().recv();
-        match stream {
-            Ok(stream) => {
-                shared.metrics.queue_depth.dec();
-                handle_connection(shared, &mut clients, stream);
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-fn handle_connection(
-    shared: &RouterShared,
-    clients: &mut HashMap<usize, Client>,
-    stream: TcpStream,
-) {
-    let mut conn = HttpConn::new(stream, Limits::default());
-    loop {
-        let request = match conn.read_request() {
-            Ok(request) => request,
-            Err(HttpError::Closed) => {
-                shared.metrics.conn_closed.inc("client");
-                return;
-            }
-            Err(HttpError::Io(_)) => {
-                shared.metrics.conn_closed.inc("error");
-                return;
-            }
-            Err(err) => {
-                let _ = reply_parse_error(&shared.metrics, &err, conn.stream_mut());
-                shared.metrics.conn_closed.inc("error");
-                return;
-            }
-        };
-        let started = Instant::now();
-        let (endpoint, status, content_type, body) = route(shared, clients, &request);
-        let close = close_cause(&request, status, shared.shutting_down.load(Ordering::SeqCst));
-        shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
-        let reason = reason_for(status);
-        let stream = conn.stream_mut();
-        if write_response(stream, status, reason, &content_type, &body, close.is_none()).is_err() {
-            shared.metrics.conn_closed.inc("write_failed");
-            return;
-        }
-        if let Some(cause) = close {
-            shared.metrics.conn_closed.inc(cause);
-            return;
-        }
-    }
-}
-
-fn reason_for(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        503 => "Service Unavailable",
-        _ => "Status",
-    }
-}
-
 /// Routes one request: router-local endpoints answer directly, everything
 /// else proxies to the backend the routing table picks.
-fn route(
-    shared: &RouterShared,
-    clients: &mut HashMap<usize, Client>,
-    request: &HttpRequest,
-) -> (Endpoint, u16, String, Vec<u8>) {
+fn route(shared: &RouterShared, clients: &mut Clients, request: &HttpRequest) -> Routed {
     let method = request.method.as_str();
     let target = request.target.as_str();
     let primary = shared.primary.load(Ordering::Acquire);
@@ -610,16 +499,16 @@ fn route(
                 .set("max_ack_stall_micros", shared.metrics.route_max_ack_stall_micros.get())
                 .set("read_failovers", shared.metrics.route_read_failover_total.get())
                 .to_compact();
-            (Endpoint::Healthz, 200, "application/json".to_string(), body.into_bytes())
+            json(Endpoint::Healthz, 200, body.into_bytes())
         }
         ("GET", "/metrics") => {
             let body = shared.metrics.render_prometheus().into_bytes();
-            (Endpoint::Metrics, 200, "text/plain; version=0.0.4".to_string(), body)
+            (Endpoint::Metrics, 200, Cow::Borrowed("text/plain; version=0.0.4"), body)
         }
         ("POST", "/v1/shutdown") => {
             shared.begin_shutdown();
             let body = Json::object().set("status", "shutting down").to_compact().into_bytes();
-            (Endpoint::Shutdown, 200, "application/json".to_string(), body)
+            json(Endpoint::Shutdown, 200, body)
         }
         ("GET", t) if t.starts_with("/v1/sites/") => {
             let host = &t["/v1/sites/".len()..];
@@ -674,16 +563,16 @@ fn follower_lag(shared: &RouterShared, primary: usize) -> u64 {
 /// hop only, so a sick cluster degrades to errors, not a retry storm.
 fn ring_read(
     shared: &RouterShared,
-    clients: &mut HashMap<usize, Client>,
+    clients: &mut Clients,
     key: &[u8],
     endpoint: Endpoint,
     request: &HttpRequest,
     primary: usize,
-) -> (Endpoint, u16, String, Vec<u8>) {
+) -> Routed {
     let idx = ring_route(&shared.ring, &shared.states, key, primary);
     match try_proxy(shared, clients, idx, endpoint, request) {
         Ok(routed) => routed,
-        Err(()) => match ring_next(&shared.ring, &shared.states, key, idx) {
+        Err(()) => match ring_walk(&shared.ring, &shared.states, key, Some(idx)) {
             Some(next) => {
                 shared.metrics.route_read_failover_total.inc();
                 proxy(shared, clients, next, endpoint, request)
@@ -698,11 +587,11 @@ fn ring_read(
 /// heartbeat loop, not the proxy path, decides who is dead.
 fn proxy(
     shared: &RouterShared,
-    clients: &mut HashMap<usize, Client>,
+    clients: &mut Clients,
     idx: usize,
     endpoint: Endpoint,
     request: &HttpRequest,
-) -> (Endpoint, u16, String, Vec<u8>) {
+) -> Routed {
     try_proxy(shared, clients, idx, endpoint, request).unwrap_or_else(|()| unavailable(endpoint))
 }
 
@@ -711,11 +600,11 @@ fn proxy(
 /// `Ok` with their real status.
 fn try_proxy(
     shared: &RouterShared,
-    clients: &mut HashMap<usize, Client>,
+    clients: &mut Clients,
     idx: usize,
     endpoint: Endpoint,
     request: &HttpRequest,
-) -> Result<(Endpoint, u16, String, Vec<u8>), ()> {
+) -> Result<Routed, ()> {
     let Some((host, port)) = shared.backends[idx].http_parts() else {
         return Err(());
     };
@@ -726,7 +615,7 @@ fn try_proxy(
         Ok(resp) => {
             let content_type =
                 resp.headers.get("content-type").unwrap_or("application/json").to_string();
-            Ok((endpoint, resp.status, content_type, resp.body))
+            Ok((endpoint, resp.status, Cow::Owned(content_type), resp.body))
         }
         Err(_) => {
             clients.remove(&idx);
@@ -735,14 +624,15 @@ fn try_proxy(
     }
 }
 
-fn unavailable(endpoint: Endpoint) -> (Endpoint, u16, String, Vec<u8>) {
-    (endpoint, 503, "application/json".to_string(), br#"{"error":"backend unavailable"}"#.to_vec())
+fn unavailable(endpoint: Endpoint) -> Routed {
+    json(endpoint, 503, error_json("backend unavailable"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{start, ServeConfig};
+    use crate::http::{HttpConn, Limits};
+    use crate::server::start;
 
     #[test]
     fn backend_spec_parsing() {
@@ -786,6 +676,9 @@ mod tests {
         let a = ring_route(&ring, &states, b"news1.example", 0);
         let b = ring_route(&ring, &states, b"news1.example", 0);
         assert_eq!(a, b);
+        // The read-failover hop skips the backend that just failed.
+        let next = ring_walk(&ring, &states, b"news1.example", Some(a));
+        assert!(next.is_some_and(|idx| idx != a && idx != 1), "{next:?}");
         // All dead: fall back to the primary index.
         for state in &states {
             state.alive.store(false, Ordering::Release);

@@ -10,13 +10,16 @@
 //! `workers + queue_capacity` open connections a new one gets an inline
 //! `503`. On non-unix targets `start` fails with `Unsupported`.
 //!
-//! This module owns what every request shares: `route` and its
-//! handlers, the store, the world and the cluster role.
+//! This module owns what a node's requests share: `route` and its
+//! handlers, the store, the world and the cluster role. The loop serves
+//! them through its handler trait, the one the router implements too, so
+//! everything about a connection is decided the same way on both tiers.
 //!
 //! Shutdown is graceful: the flag flips, a self-connect wakes a shard,
 //! and each shard takes in any connection handed to it and finishes the
 //! responses it holds before exiting.
 
+use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,6 +31,7 @@ use cookiepicker_core::{decide_analyzed, CookiePickerConfig};
 use cp_runtime::json::{FromJson, Json, ToJson};
 
 use crate::cache::AnalysisCache;
+use crate::eventloop::{Handler, Routed};
 use crate::http::{HttpRequest, Limits};
 use crate::metrics::{Endpoint, ServiceMetrics};
 use crate::replication::{
@@ -139,13 +143,13 @@ impl Default for ServeConfig {
 
 /// State shared by the event-loop shards, the replication threads and the
 /// handle.
-pub(crate) struct Shared {
+struct Shared {
     world: EmbeddedWorld,
     store: ShardedStore,
-    pub(crate) metrics: Arc<ServiceMetrics>,
+    metrics: Arc<ServiceMetrics>,
     picker: CookiePickerConfig,
     cache: AnalysisCache,
-    pub(crate) shutting_down: AtomicBool,
+    shutting_down: AtomicBool,
     /// Set by whichever exit path runs the final checkpoint first, so a
     /// `wait()` + `Drop` pair checkpoints exactly once.
     checkpointed: AtomicBool,
@@ -365,10 +369,24 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     Ok(handle)
 }
 
-type Routed = (Endpoint, u16, &'static str, &'static str, Vec<u8>);
+impl Handler for Shared {
+    type Shard = ();
+
+    fn metrics(&self) -> &ServiceMetrics {
+        &self.metrics
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::SeqCst)
+    }
+
+    fn route(&self, _: &mut (), request: &HttpRequest) -> Routed {
+        route(self, request)
+    }
+}
 
 /// Routes one request to its handler.
-pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
+fn route(shared: &Shared, request: &HttpRequest) -> Routed {
     let method = request.method.as_str();
     let target = request.target.as_str();
     match (method, target) {
@@ -414,11 +432,11 @@ pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
                         .set("recovery_ms", r.recovery_micros as f64 / 1_000.0),
                 );
             }
-            (Endpoint::Healthz, 200, "OK", "application/json", body.to_compact().into_bytes())
+            json(Endpoint::Healthz, 200, body.to_compact().into_bytes())
         }
         ("GET", "/metrics") => {
             let body = shared.metrics.render_prometheus().into_bytes();
-            (Endpoint::Metrics, 200, "OK", "text/plain; version=0.0.4", body)
+            (Endpoint::Metrics, 200, Cow::Borrowed("text/plain; version=0.0.4"), body)
         }
         ("GET", "/v1/marks") => {
             // The crash harness's comparable artifact: every useful mark,
@@ -427,7 +445,7 @@ pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
             if !lines.is_empty() {
                 lines.push('\n');
             }
-            (Endpoint::Marks, 200, "OK", "text/plain; charset=utf-8", lines.into_bytes())
+            (Endpoint::Marks, 200, Cow::Borrowed("text/plain; charset=utf-8"), lines.into_bytes())
         }
         ("POST", "/v1/classify") => classify(shared, &request.body),
         ("POST", "/v1/visit") => visit(shared, &request.body),
@@ -438,7 +456,7 @@ pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
             // backlog downloads a consistent full-state snapshot (exact
             // on-disk `CPSNAP01` format) and installs it atomically.
             let body = shared.store.encode_bootstrap(shared.cluster.generation());
-            (Endpoint::Repl, 200, "OK", "application/octet-stream", body)
+            (Endpoint::Repl, 200, Cow::Borrowed("application/octet-stream"), body)
         }
         ("GET", t) if t == "/v1/sites" || t.starts_with("/v1/sites?") => {
             sites_list(shared, t.strip_prefix("/v1/sites").and_then(|q| q.strip_prefix('?')))
@@ -447,9 +465,9 @@ pub(crate) fn route(shared: &Shared, request: &HttpRequest) -> Routed {
         ("POST", "/v1/shutdown") => {
             shared.begin_shutdown();
             let body = Json::object().set("status", "shutting down").to_compact().into_bytes();
-            (Endpoint::Shutdown, 200, "OK", "application/json", body)
+            json(Endpoint::Shutdown, 200, body)
         }
-        _ => (Endpoint::Other, 404, "Not Found", "application/json", error_json("no such route")),
+        _ => json(Endpoint::Other, 404, error_json("no such route")),
     }
 }
 
@@ -489,14 +507,14 @@ fn classify(shared: &Shared, body: &[u8]) -> Routed {
     let verdict = if decision.cookies_caused_difference { "useful" } else { "noise" };
     shared.metrics.decisions.inc(verdict);
     let body = decision.to_json().to_compact().into_bytes();
-    (Endpoint::Classify, 200, "OK", "application/json", body)
+    json(Endpoint::Classify, 200, body)
 }
 
 /// A follower rejects direct writes: only the primary's replicated
 /// stream may mutate it, or the router's promotion would race client
 /// writes it never acked.
 fn not_primary(endpoint: Endpoint) -> Routed {
-    (endpoint, 503, "Service Unavailable", "application/json", error_json("not primary"))
+    json(endpoint, 503, error_json("not primary"))
 }
 
 /// `POST /v1/visit`: one FORCUM training step against the embedded world.
@@ -517,7 +535,7 @@ fn visit(shared: &Shared, body: &[u8]) -> Routed {
         // Count the rejection: crawlers watch cp_site_derive_total
         // {result="unknown"} to notice they are probing a stale frontier.
         shared.metrics.site_derive.inc("unknown");
-        return (Endpoint::Visit, 404, "Not Found", "application/json", error_json("unknown host"));
+        return json(Endpoint::Visit, 404, error_json("unknown host"));
     }
     let path = parsed.get("path").and_then(Json::as_str).unwrap_or("/");
     let cookie = parsed.get("cookie").and_then(Json::as_str);
@@ -544,20 +562,14 @@ fn visit(shared: &Shared, body: &[u8]) -> Routed {
         Ok(outcome) => outcome.expect("host existence checked above"),
         Err(e) => {
             eprintln!("cp-serve: visit to {host} not journaled: {e}");
-            return (
-                Endpoint::Visit,
-                503,
-                "Service Unavailable",
-                "application/json",
-                error_json("durability unavailable"),
-            );
+            return json(Endpoint::Visit, 503, error_json("durability unavailable"));
         }
     };
     if let Some(record) = &outcome.record {
         let verdict = if record.decision.cookies_caused_difference { "useful" } else { "noise" };
         shared.metrics.decisions.inc(verdict);
     }
-    (Endpoint::Visit, 200, "OK", "application/json", outcome.to_compact_json().into_bytes())
+    json(Endpoint::Visit, 200, outcome.to_compact_json().into_bytes())
 }
 
 /// `POST /v1/expire`: drop usefulness marks whose TTL decayed and restart
@@ -582,13 +594,7 @@ fn expire(shared: &Shared, body: &[u8]) -> Routed {
     };
     if !shared.world.contains(host) {
         shared.metrics.site_derive.inc("unknown");
-        return (
-            Endpoint::Expire,
-            404,
-            "Not Found",
-            "application/json",
-            error_json("unknown host"),
-        );
+        return json(Endpoint::Expire, 404, error_json("unknown host"));
     }
     let result = shared.store.transact(
         host,
@@ -616,18 +622,10 @@ fn expire(shared: &Shared, body: &[u8]) -> Routed {
         },
     );
     match result {
-        Ok(body) => {
-            (Endpoint::Expire, 200, "OK", "application/json", body.to_compact().into_bytes())
-        }
+        Ok(body) => json(Endpoint::Expire, 200, body.to_compact().into_bytes()),
         Err(e) => {
             eprintln!("cp-serve: expire on {host} not journaled: {e}");
-            (
-                Endpoint::Expire,
-                503,
-                "Service Unavailable",
-                "application/json",
-                error_json("durability unavailable"),
-            )
+            json(Endpoint::Expire, 503, error_json("durability unavailable"))
         }
     }
 }
@@ -659,18 +657,12 @@ fn repl_lead(shared: &Shared, body: &[u8]) -> Routed {
                 .set("ack", shared.repl_ack.label())
                 .to_compact()
                 .into_bytes();
-            (Endpoint::Repl, 200, "OK", "application/json", body)
+            json(Endpoint::Repl, 200, body)
         }
         Err(e) if e.to_string().contains("fenced") => {
-            (Endpoint::Repl, 409, "Conflict", "application/json", error_json(&e.to_string()))
+            json(Endpoint::Repl, 409, error_json(&e.to_string()))
         }
-        Err(e) => (
-            Endpoint::Repl,
-            503,
-            "Service Unavailable",
-            "application/json",
-            error_json(&format!("cannot lead: {e}")),
-        ),
+        Err(e) => json(Endpoint::Repl, 503, error_json(&format!("cannot lead: {e}"))),
     }
 }
 
@@ -713,7 +705,7 @@ fn sites_list(shared: &Shared, query: Option<&str>) -> Routed {
         .set("hosts", hosts)
         .to_compact()
         .into_bytes();
-    (Endpoint::Sites, 200, "OK", "application/json", body)
+    json(Endpoint::Sites, 200, body)
 }
 
 /// `GET /v1/sites/{host}`: the training summary for a visited site, read
@@ -721,21 +713,11 @@ fn sites_list(shared: &Shared, query: Option<&str>) -> Routed {
 /// a shard lock.
 fn site_summary(shared: &Shared, host: &str) -> Routed {
     match shared.store.summary(host) {
-        Some(summary) => (
-            Endpoint::Sites,
-            200,
-            "OK",
-            "application/json",
-            summary.to_json().to_compact().into_bytes(),
-        ),
-        None if shared.world.contains(host) => (
-            Endpoint::Sites,
-            404,
-            "Not Found",
-            "application/json",
-            error_json("site not yet visited"),
-        ),
-        None => (Endpoint::Sites, 404, "Not Found", "application/json", error_json("unknown host")),
+        Some(summary) => json(Endpoint::Sites, 200, summary.to_json().to_compact().into_bytes()),
+        None if shared.world.contains(host) => {
+            json(Endpoint::Sites, 404, error_json("site not yet visited"))
+        }
+        None => json(Endpoint::Sites, 404, error_json("unknown host")),
     }
 }
 
@@ -744,8 +726,13 @@ fn parse_json_body(body: &[u8]) -> Result<Json, &'static str> {
     Json::parse(text).map_err(|_| "body is not valid json")
 }
 
+/// A JSON response.
+pub(crate) fn json(endpoint: Endpoint, status: u16, body: Vec<u8>) -> Routed {
+    (endpoint, status, Cow::Borrowed("application/json"), body)
+}
+
 fn bad_request(endpoint: Endpoint, msg: &str) -> Routed {
-    (endpoint, 400, "Bad Request", "application/json", error_json(msg))
+    json(endpoint, 400, error_json(msg))
 }
 
 pub(crate) fn error_json(msg: &str) -> Vec<u8> {

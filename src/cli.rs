@@ -105,7 +105,7 @@ pub enum Command {
         /// Backend `HTTP_ADDR,REPL_ADDR` pairs; the first is led as the
         /// initial primary.
         backends: Vec<cp_serve::BackendAddr>,
-        /// Worker threads.
+        /// Event-loop shards serving client connections.
         workers: usize,
         /// Heartbeat probe interval, milliseconds.
         heartbeat_ms: u64,

@@ -2,7 +2,7 @@
 //! proxied after the node closed that connection for idleness must be
 //! answered, not turned into a 503.
 //!
-//! Each router worker keeps one keep-alive connection per backend. The
+//! Each router shard keeps one keep-alive connection per backend. The
 //! node closes a keep-alive that sits idle for its read timeout. A request
 //! written into the closed socket only fails at the read, and a POST is not
 //! re-sent after it went out, so the router must notice the close before

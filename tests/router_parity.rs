@@ -1,8 +1,9 @@
 //! The router answers and accounts like a node: the same status for a
-//! request that fails to parse, and the same close cause after a 5xx.
+//! request that fails to parse, the same close cause after a 5xx, and an
+//! idle keep-alive connection never keeps another connection waiting.
 //!
-//! Both decisions live in one place that the node's event loop and the
-//! router's connection loop share; these tests pin the router's side.
+//! The router serves from the node's event loop, so every one of these
+//! decisions is made in one place; these tests pin the router's side.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -19,7 +20,7 @@ fn connect(addr: SocketAddr) -> HttpConn<TcpStream> {
     HttpConn::new(stream, Limits::default())
 }
 
-/// One node behind a one-worker router.
+/// One node behind a one-shard router.
 fn node_and_router() -> (ServerHandle, RouterHandle) {
     let node =
         start(ServeConfig { repl_port: Some(0), ..ServeConfig::default() }).expect("start node");
@@ -72,4 +73,36 @@ fn router_counts_the_close_after_a_5xx_as_error() {
     }
     let (client, error) = (metrics.conn_closed.get("client"), metrics.conn_closed.get("error"));
     assert_eq!((client, error), (0, 1), "a 5xx close is an error, as on a node");
+}
+
+#[test]
+fn an_idle_keep_alive_does_not_hold_the_routers_only_shard() {
+    let (_node, router) = node_and_router();
+    // A few seconds, not the router's timeouts: a router that serves B
+    // only once A is closed fails here rather than after A's timeout.
+    let patience = Some(Duration::from_secs(3));
+    let get_healthz = |conn: &mut HttpConn<TcpStream>| {
+        write_request(conn.stream_mut(), "GET", "/healthz", "127.0.0.1", b"").unwrap();
+        conn.read_response().expect("a /healthz answer").status
+    };
+
+    // A: confirmed by one round trip, then left idle and open.
+    let mut a = connect(router.addr());
+    a.stream_mut().set_read_timeout(patience).unwrap();
+    assert_eq!(get_healthz(&mut a), 200);
+
+    // B: a fresh connection is served while A sits on the only shard.
+    let started = Instant::now();
+    let mut b = connect(router.addr());
+    b.stream_mut().set_read_timeout(patience).unwrap();
+    assert_eq!(get_healthz(&mut b), 200);
+    let body = br#"{"host":"news1.example"}"#;
+    write_request(b.stream_mut(), "POST", "/v1/visit", "127.0.0.1", body).unwrap();
+    let visit = b.read_response().expect("a /v1/visit answer");
+    assert_eq!(visit.status, 200, "{}", visit.body_string());
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(1), "B waited {waited:?} behind idle A");
+
+    // A is still open and still served.
+    assert_eq!(get_healthz(&mut a), 200);
 }
