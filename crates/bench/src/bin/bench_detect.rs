@@ -12,9 +12,12 @@
 //! * `cached_*` — [`decide_analyzed`] over prebuilt [`PageAnalysis`]
 //!   values: what cp-serve pays on an analysis-cache hit.
 //!
-//! Every compiled decision is asserted bit-identical to the reference
-//! while the clock runs, so the speedup cannot come from answering a
-//! different question.
+//! Before the clock starts, every compiled decision is asserted
+//! bit-identical to the reference — both over analyses of the parsed
+//! `Document`s and over [`PageAnalysis::from_html`] of the same markup,
+//! the path `cp-serve` runs on a cache miss — so the speedup cannot come
+//! from answering a different question, and a release build of the served
+//! compile is checked too.
 //!
 //! Usage: `bench_detect [seed] [sites] [iters] [out.json]`
 //! (defaults: 7, 20, 30, BENCH_detect.json)
@@ -32,8 +35,9 @@ use cp_webworld::render::{render_page, RenderInput};
 use cp_webworld::table1_population;
 
 /// Renders the benchmark corpus: per site, each page with all cookies sent
-/// vs the same page with a random subset withheld (the hidden request).
-fn corpus(seed: u64, sites: usize, paths_per_site: usize) -> Vec<(Document, Document)> {
+/// vs the same page with a random subset withheld (the hidden request),
+/// as markup.
+fn corpus(seed: u64, sites: usize, paths_per_site: usize) -> Vec<(String, String)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let population = table1_population(seed);
     let mut pairs = Vec::new();
@@ -49,7 +53,7 @@ fn corpus(seed: u64, sites: usize, paths_per_site: usize) -> Vec<(Document, Docu
             let mut noise_b = StdRng::seed_from_u64(rng.gen::<u64>());
             let html_a = render_page(&input_a, &mut noise_a);
             let html_b = render_page(&input_b, &mut noise_b);
-            pairs.push((parse_document(&html_a), parse_document(&html_b)));
+            pairs.push((html_a, html_b));
         }
     }
     pairs
@@ -93,20 +97,29 @@ fn main() {
     let out = arg(4).unwrap_or_else(|| "BENCH_detect.json".to_string());
 
     let config = CookiePickerConfig::default();
-    let pairs = corpus(seed, sites, 2);
+    let markup = corpus(seed, sites, 2);
+    let pairs: Vec<(Document, Document)> =
+        markup.iter().map(|(a, b)| (parse_document(a), parse_document(b))).collect();
     eprintln!(
         "bench_detect: seed {seed}, {} pairs ({sites} sites x 2 paths), {iters} iters/variant",
         pairs.len()
     );
 
     // Correctness gate before anything is timed: the compiled pipeline must
-    // reproduce the reference decision on every pair in the corpus.
-    for (a, b) in &pairs {
-        let compiled = decide(a, b, &config);
+    // reproduce the reference decision on every pair in the corpus, from
+    // parsed documents and straight from the markup (the served path).
+    for ((a, b), (html_a, html_b)) in pairs.iter().zip(&markup) {
         let reference = decide_reference(a, b, &config);
-        assert_eq!(compiled.tree_sim.to_bits(), reference.tree_sim.to_bits());
-        assert_eq!(compiled.text_sim.to_bits(), reference.text_sim.to_bits());
-        assert_eq!(compiled.cookies_caused_difference, reference.cookies_caused_difference);
+        let streamed = decide_analyzed(
+            &PageAnalysis::from_html(html_a, config.compare_from_body),
+            &PageAnalysis::from_html(html_b, config.compare_from_body),
+            &config,
+        );
+        for compiled in [decide(a, b, &config), streamed] {
+            assert_eq!(compiled.tree_sim.to_bits(), reference.tree_sim.to_bits());
+            assert_eq!(compiled.text_sim.to_bits(), reference.text_sim.to_bits());
+            assert_eq!(compiled.cookies_caused_difference, reference.cookies_caused_difference);
+        }
     }
 
     // Warm-up pass per variant, then the timed loops.

@@ -7,14 +7,27 @@
 //! `compare_from_body` flag, never on the *other* page of a comparison, so
 //! they can be compiled ahead of time into a [`PageAnalysis`]: a
 //! [`DetectTree`] arena plus a [`CompiledContentSet`]. `cp-serve` keys
-//! these by the FNV-1a hash of the body bytes and caches them, so repeated
+//! these by a keyed hash of the body bytes and caches them, so repeated
 //! bodies skip parsing and extraction entirely.
+//!
+//! One page compiler builds both derivations, node by node. It has two
+//! sources, and the per-element rule (visibility, noise containers, ad
+//! attributes) is written once, in the compiler:
+//!
+//! * [`PageAnalysis::from_html`] runs `cp-html`'s tree builder with the
+//!   compiler as its sink, so raw markup is compiled with no `Document`
+//!   in between — the path `cp-serve` takes on every cache miss;
+//! * [`PageAnalysis::from_document`] walks a parsed `Document` and feeds
+//!   the compiler the same nodes.
 
-use cp_html::{Document, NodeData, NodeId};
+use std::borrow::Cow;
+
+use cp_html::{AttrView, Attribute, Document, NodeData, NodeId, TextSpan, TreeSink};
 use cp_treediff::{DetectTree, DetectTreeBuilder, TreeView as _};
 
 use crate::cvce::{
-    ad_attrs, noise_container, sink_text, CompiledContentSet, ContentSink, HashSink,
+    ad_attrs, content_text, context_hash, noise_container, CompiledContentSet, HashSink,
+    ROOT_CONTEXT,
 };
 use crate::domview::DomTreeView;
 
@@ -38,19 +51,18 @@ impl PageAnalysis {
             DomTreeView::from_document(doc)
         };
         let root = view.root().unwrap_or(NodeId::DOCUMENT);
-        // One fused traversal builds both derivations: the tree arena sees
-        // every node, the content sink sees the Figure-4 filtered subset,
-        // and each element's visibility is judged exactly once for both.
-        let mut builder = DetectTreeBuilder::with_capacity(doc.len());
-        let mut sink = HashSink::new();
-        let mut syms = Symbols { text: builder.intern("#text"), elements: [None; 16] };
-        compile_rec(doc, root, &mut builder, &mut sink, &mut syms, true);
-        PageAnalysis { tree: builder.finish(), content: sink.finish() }
+        let mut compiler = Compiler::with_capacity(doc.len());
+        walk(doc, root, None, &mut compiler);
+        compiler.finish()
     }
 
-    /// Parses and compiles raw markup in one step.
+    /// Parses and compiles raw markup in one pass, without building a
+    /// `Document`: equal to `from_document(&parse_document(html), ..)`.
     pub fn from_html(html: &str, compare_from_body: bool) -> Self {
-        PageAnalysis::from_document(&cp_html::parse_document(html), compare_from_body)
+        // Rendered pages run one node per ten to fifteen bytes: reserving
+        // for one per ten spares the arrays their regrowth.
+        let sink = PageSink::new(Compiler::with_capacity(html.len() / 10), compare_from_body);
+        cp_html::build_tree(html, sink).compiler.finish()
     }
 
     /// The compiled tree (RSTM input).
@@ -64,77 +76,224 @@ impl PageAnalysis {
     }
 }
 
-/// Symbol shortcuts threaded through the fused walk: the `#text` symbol is
-/// interned once up front (text nodes are the most common node kind by
-/// far), and a small direct-mapped cache keyed on name length and first
-/// byte resolves repeated element names without an intern-table probe —
-/// real pages use a handful of distinct tags, so this hits almost always.
-struct Symbols<'a> {
-    text: u32,
-    elements: [Option<(&'a str, u32)>; 16],
+/// The per-element rule both sources share: whether the element counts
+/// for RSTM (visible, Figure 2 line 5) and whether its subtree can hold
+/// CVCE content (visible, not a noise container, not an ad — the
+/// Figure-4 element filter).
+fn judge<A: AttrView>(name: &str, attrs: &[A]) -> (bool, bool) {
+    let visible = cp_html::element_visible(name, attrs);
+    (visible, visible && !noise_container(name) && !ad_attrs(attrs))
 }
 
-impl<'a> Symbols<'a> {
-    fn element(&mut self, name: &'a str, builder: &mut DetectTreeBuilder) -> u32 {
-        let slot = (name.len() ^ (name.as_bytes().first().copied().unwrap_or(0) as usize)) & 15;
-        match self.elements[slot] {
-            Some((n, s)) if n == name => s,
-            _ => {
-                let s = builder.intern(name);
-                self.elements[slot] = Some((name, s));
-                s
+/// The content context a node hands to its children.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Context {
+    /// The node or an ancestor failed the element filter: no content.
+    Off,
+    /// The empty path (the document node, or no parent at all).
+    Root,
+    /// The hash of the element-name path from the root to the node.
+    Path(u64),
+}
+
+/// Builds a [`PageAnalysis`] from nodes named by their parent: the tree
+/// arena sees every node, the content sink sees the text the Figure-4
+/// filter keeps, and each element is judged once for both.
+struct Compiler {
+    tree: DetectTreeBuilder,
+    content: HashSink,
+    /// The `#text` symbol, interned once: text is the commonest node.
+    text: u32,
+    /// Per node id, the context its children inherit.
+    contexts: Vec<Context>,
+    /// Set when `<html>` or `<body>` failed the element filter after
+    /// content was already let through (see [`Compiler::merge`]).
+    content_off: bool,
+}
+
+impl Compiler {
+    fn with_capacity(nodes: usize) -> Self {
+        let mut tree = DetectTreeBuilder::with_capacity(nodes);
+        let text = tree.intern("#text");
+        Compiler {
+            tree,
+            content: HashSink::new(),
+            text,
+            contexts: Vec::with_capacity(nodes),
+            content_off: false,
+        }
+    }
+
+    fn push(&mut self, parent: Option<u32>, sym: u32, countable: bool, context: Context) -> u32 {
+        self.contexts.push(context);
+        self.tree.append_sym(parent, sym, countable)
+    }
+
+    fn context_of(&self, parent: Option<u32>) -> Context {
+        parent.map_or(Context::Root, |p| self.contexts[p as usize])
+    }
+
+    fn document(&mut self) -> u32 {
+        let sym = self.tree.intern("#document");
+        self.push(None, sym, false, Context::Root)
+    }
+
+    fn element<A: AttrView>(&mut self, parent: Option<u32>, name: &str, attrs: &[A]) -> u32 {
+        let (visible, content) = judge(name, attrs);
+        let context = match self.context_of(parent) {
+            _ if !content => Context::Off,
+            Context::Off => Context::Off,
+            Context::Root => Context::Path(context_hash(None, name)),
+            Context::Path(h) => Context::Path(context_hash(Some(h), name)),
+        };
+        let sym = self.tree.intern(name);
+        self.push(parent, sym, visible, context)
+    }
+
+    /// A text node; `text` is read only when the node can be content.
+    fn text<'t>(&mut self, parent: Option<u32>, text: impl FnOnce() -> Cow<'t, str>) {
+        let context = match self.context_of(parent) {
+            Context::Off => None,
+            Context::Root => Some(ROOT_CONTEXT),
+            Context::Path(h) => Some(h),
+        };
+        self.push(parent, self.text, false, Context::Off);
+        if let Some(context) = context.filter(|_| !self.content_off) {
+            if let Some(kept) = content_text(&text()) {
+                self.content.text_in(context, &kept);
             }
+        }
+    }
+
+    /// A comment or doctype: a leaf that never counts.
+    fn leaf(&mut self, parent: Option<u32>, label: &str) {
+        let sym = self.tree.intern(label);
+        self.push(parent, sym, false, Context::Off);
+    }
+
+    /// Judges attributes that arrive after element `id` was added. A merge
+    /// only adds names the element lacked, and each name the rule reads
+    /// decides on its own, so the merged element passes exactly when it
+    /// passed before and the new attributes pass too: countable and
+    /// content can only turn off.
+    ///
+    /// The tree builder merges into `<html>`, `<head>` and `<body>` only.
+    /// `<head>` is never content, and once `<html>` (or `<body>`) exists
+    /// every later node lands inside it. So when either turns content off,
+    /// nothing on the page can be content any more: what was let through
+    /// is dropped and nothing more is taken.
+    fn merge<A: AttrView>(&mut self, id: u32, name: &str, attrs: &[A]) {
+        let (visible, content) = judge(name, attrs);
+        if !visible {
+            self.tree.set_countable(id, false);
+        }
+        if !content && self.contexts[id as usize] != Context::Off {
+            self.contexts[id as usize] = Context::Off;
+            self.content.clear();
+            self.content_off = true;
+        }
+    }
+
+    fn finish(self) -> PageAnalysis {
+        PageAnalysis { tree: self.tree.finish(), content: self.content.finish() }
+    }
+}
+
+/// [`PageAnalysis::from_document`]'s source: a preorder walk of the
+/// subtree at `node`, with every attribute already in place.
+fn walk(doc: &Document, node: NodeId, parent: Option<u32>, compiler: &mut Compiler) {
+    let id = match doc.data(node) {
+        NodeData::Text(text) => return compiler.text(parent, || Cow::Borrowed(text)),
+        NodeData::Comment(_) | NodeData::Doctype { .. } => {
+            return compiler.leaf(parent, doc.node_name(node))
+        }
+        NodeData::Element { name, attrs } => compiler.element(parent, name, attrs),
+        NodeData::Document => compiler.document(),
+    };
+    for &child in doc.children(node) {
+        walk(doc, child, Some(id), compiler);
+    }
+}
+
+/// [`PageAnalysis::from_html`]'s source: the tree builder's sink. Nodes
+/// outside the comparison root are not compiled, and neither is anything
+/// appended to them; when comparing from the body, `<body>` — the builder
+/// creates exactly one — becomes the root.
+struct PageSink {
+    compiler: Compiler,
+    document: Handle,
+    /// Outside nodes handed out so far.
+    outside: u32,
+    from_body: bool,
+}
+
+/// A node of the page as the tree builder sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Handle {
+    /// A compiled node, by its tree id.
+    Compiled(u32),
+    /// A node outside the comparison root, numbered so that the builder
+    /// can still tell such nodes apart.
+    Outside(u32),
+}
+
+impl Handle {
+    fn compiled(self) -> Option<u32> {
+        match self {
+            Handle::Compiled(id) => Some(id),
+            Handle::Outside(_) => None,
         }
     }
 }
 
-/// The fused walk: every node becomes a tree-arena entry (mirroring
-/// `DetectTree::from_view` over a `DomTreeView` — same labels, same
-/// `countable` judgement), while text flows into the content sink exactly
-/// as `content_compile`'s recursive walk would emit it. `content` is false
-/// once any ancestor failed the Figure-4 element filter, which is where the
-/// reference walk stops recursing for content purposes.
-fn compile_rec<'a>(
-    doc: &'a Document,
-    node: NodeId,
-    builder: &mut DetectTreeBuilder,
-    sink: &mut HashSink,
-    syms: &mut Symbols<'a>,
-    content: bool,
-) {
-    match doc.data(node) {
-        NodeData::Text(text) => {
-            builder.leaf_sym(syms.text, false);
-            if content {
-                sink_text(text, sink);
-            }
+impl PageSink {
+    fn new(mut compiler: Compiler, from_body: bool) -> Self {
+        let document =
+            if from_body { Handle::Outside(0) } else { Handle::Compiled(compiler.document()) };
+        PageSink { compiler, document, outside: 0, from_body }
+    }
+
+    fn outside(&mut self) -> Handle {
+        self.outside += 1;
+        Handle::Outside(self.outside)
+    }
+}
+
+impl<'a> TreeSink<'a> for PageSink {
+    type Handle = Handle;
+
+    fn document(&self) -> Handle {
+        self.document
+    }
+
+    fn append_doctype(&mut self, parent: Handle, name: Cow<'a, str>) {
+        if let Handle::Compiled(id) = parent {
+            self.compiler.leaf(Some(id), &name);
         }
-        NodeData::Element { name, attrs } => {
-            let visible = cp_html::element_visible(name, attrs);
-            let sym = syms.element(name, builder);
-            builder.enter_sym(sym, visible);
-            let content = content && visible && !noise_container(name) && !ad_attrs(attrs);
-            if content {
-                sink.enter(name);
-            }
-            for &c in doc.children(node) {
-                compile_rec(doc, c, builder, sink, syms, content);
-            }
-            if content {
-                sink.leave();
-            }
-            builder.leave();
+    }
+
+    fn append_comment(&mut self, parent: Handle, _text: &'a str) {
+        if let Handle::Compiled(id) = parent {
+            self.compiler.leaf(Some(id), "#comment");
         }
-        NodeData::Document => {
-            builder.enter("#document", false);
-            for &c in doc.children(node) {
-                compile_rec(doc, c, builder, sink, syms, content);
-            }
-            builder.leave();
+    }
+
+    fn append_text(&mut self, parent: Handle, text: TextSpan<'a>) {
+        if let Handle::Compiled(id) = parent {
+            self.compiler.text(Some(id), || text.decode());
         }
-        NodeData::Comment(_) | NodeData::Doctype { .. } => {
-            let sym = builder.intern(doc.node_name(node));
-            builder.leaf_sym(sym, false);
+    }
+
+    fn append_element(&mut self, parent: Handle, name: &str, attrs: &[Attribute<'a>]) -> Handle {
+        match parent {
+            Handle::Outside(_) if !(self.from_body && name == "body") => self.outside(),
+            _ => Handle::Compiled(self.compiler.element(parent.compiled(), name, attrs)),
+        }
+    }
+
+    fn merge_attrs(&mut self, element: Handle, name: &str, attrs: &[Attribute<'a>]) {
+        if let Handle::Compiled(id) = element {
+            self.compiler.merge(id, name, attrs);
         }
     }
 }

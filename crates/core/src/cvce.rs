@@ -11,7 +11,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use cp_html::{Document, NodeData, NodeId};
+use cp_html::{AttrView, Document, NodeData, NodeId};
 
 /// The separator between context and content in a context-content string
 /// (the `SEPARATOR` of Figure 4).
@@ -76,18 +76,21 @@ pub(crate) fn ad_container(doc: &Document, id: NodeId) -> bool {
 }
 
 /// [`ad_container`] judged from the attribute list directly — one pass
-/// instead of a scan per attribute name. First `class`/`id` occurrence
-/// wins, matching `Document::attr`.
-pub(crate) fn ad_attrs(attrs: &[(String, String)]) -> bool {
+/// instead of a scan per attribute name, over a `Document`'s pairs or the
+/// tokenizer's attributes alike. First `class`/`id` occurrence wins,
+/// matching `Document::attr`.
+pub(crate) fn ad_attrs<A: AttrView>(attrs: &[A]) -> bool {
     const AD_TOKENS: [&str; 6] = ["ad", "ads", "advert", "advertisement", "sponsor", "sponsored"];
-    let has_ad_token = |v: &str| {
-        v.split([' ', '-', '_']).any(|tok| AD_TOKENS.iter().any(|t| tok.eq_ignore_ascii_case(t)))
+    let has_ad_token = |a: &A| {
+        a.value()
+            .split([' ', '-', '_'])
+            .any(|tok| AD_TOKENS.iter().any(|t| tok.eq_ignore_ascii_case(t)))
     };
     let (mut class, mut id) = (None, None);
-    for (k, v) in attrs {
-        match k.as_str() {
-            "class" if class.is_none() => class = Some(v.as_str()),
-            "id" if id.is_none() => id = Some(v.as_str()),
+    for a in attrs {
+        match a.name() {
+            "class" if class.is_none() => class = Some(a),
+            "id" if id.is_none() => id = Some(a),
             _ => {}
         }
     }
@@ -237,9 +240,25 @@ impl ContentSink for StringSink {
     }
 }
 
+/// The hash of the empty context path: the context of text with no
+/// element between it and the extraction root.
+pub(crate) const ROOT_CONTEXT: u64 = FNV_OFFSET;
+
+/// The hash of the context path `parent:name` (just `name` under the
+/// empty path) — `fnv1a64` of the path string the reference sink builds,
+/// extended by one element.
+pub(crate) fn context_hash(parent: Option<u64>, name: &str) -> u64 {
+    let start = match parent {
+        Some(h) => fnv_step(h, b':'),
+        None => FNV_OFFSET,
+    };
+    name.bytes().fold(start, fnv_step)
+}
+
 /// The compiled sink: maintains a stack of running FNV-1a states so that
 /// the hash at the top always equals `fnv1a64` of the context path string
-/// the reference sink would have built.
+/// the reference sink would have built. Callers that know each text's
+/// context hash already add items with [`HashSink::text_in`] instead.
 pub(crate) struct HashSink {
     context_hashes: Vec<u64>,
     items: Vec<(u64, u64)>,
@@ -252,6 +271,16 @@ impl HashSink {
         HashSink { context_hashes: Vec::with_capacity(16), items: Vec::with_capacity(64) }
     }
 
+    /// Adds a normalized text under the context with hash `context`.
+    pub(crate) fn text_in(&mut self, context: u64, normalized: &str) {
+        self.items.push((context, fnv1a64(normalized.as_bytes())));
+    }
+
+    /// Drops every item added so far.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+    }
+
     /// Sorts the collected pairs into their comparable form.
     pub(crate) fn finish(mut self) -> CompiledContentSet {
         self.items.sort_unstable();
@@ -261,13 +290,7 @@ impl HashSink {
 
 impl ContentSink for HashSink {
     fn enter(&mut self, name: &str) {
-        let mut h = self.context_hashes.last().copied().unwrap_or(FNV_OFFSET);
-        if !self.context_hashes.is_empty() {
-            h = fnv_step(h, b':');
-        }
-        for b in name.bytes() {
-            h = fnv_step(h, b);
-        }
+        let h = context_hash(self.context_hashes.last().copied(), name);
         self.context_hashes.push(h);
     }
 
@@ -276,31 +299,36 @@ impl ContentSink for HashSink {
     }
 
     fn text(&mut self, normalized: &str) {
-        let ctx = self.context_hashes.last().copied().unwrap_or(FNV_OFFSET);
-        self.items.push((ctx, fnv1a64(normalized.as_bytes())));
+        let ctx = self.context_hashes.last().copied().unwrap_or(ROOT_CONTEXT);
+        self.text_in(ctx, normalized);
     }
 }
 
 /// The Text-node filter of Figure 4: normalize, then drop empty,
 /// non-alphanumeric, and datetime-looking strings. Shared by the recursive
-/// [`walk`] and the fused single-pass compile in [`crate::analysis`], so
-/// every extractor applies the identical filter sequence.
+/// [`walk`] and the page compiler in [`crate::analysis`], so every
+/// extractor applies the identical filter sequence.
 pub(crate) fn sink_text<S: ContentSink>(raw: &str, sink: &mut S) {
+    if let Some(text) = content_text(raw) {
+        sink.text(&text);
+    }
+}
+
+/// [`sink_text`]'s verdict: the normalized text when the filter keeps it.
+pub(crate) fn content_text(raw: &str) -> Option<Cow<'_, str>> {
     // Trimming first changes nothing (`split_whitespace` ignores the ends)
     // but short-circuits the whitespace-only nodes markup is full of, and
     // lets surrounding-whitespace-only text keep the borrowed fast path.
     let trimmed = raw.trim();
     if trimmed.is_empty() {
-        return;
+        return None;
     }
     match classify_trimmed(trimmed.as_bytes()) {
-        TextClass::Keep => sink.text(trimmed),
-        TextClass::Drop => {}
+        TextClass::Keep => Some(Cow::Borrowed(trimmed)),
+        TextClass::Drop => None,
         TextClass::Slow => {
             let text = normalize_text(trimmed);
-            if has_alphanumeric(&text) && !looks_like_datetime(&text) {
-                sink.text(&text);
-            }
+            (has_alphanumeric(&text) && !looks_like_datetime(&text)).then_some(text)
         }
     }
 }

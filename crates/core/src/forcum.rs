@@ -6,7 +6,7 @@
 //! `useful` values are stable; the appearance of new cookies (or a manual
 //! request) turns it back on.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use cp_runtime::json::{Json, ToJson};
 
@@ -19,8 +19,8 @@ pub struct SiteTraining {
     pub stable_streak: usize,
     /// Whether the FORCUM process is currently on for this site.
     pub active: bool,
-    /// Cookie names seen so far on this site.
-    known_cookies: HashSet<String>,
+    /// Cookie names seen so far on this site, sorted and distinct.
+    known_cookies: Vec<String>,
     /// Hidden requests issued for this site.
     pub hidden_requests: usize,
     /// Usefulness marks applied on this site.
@@ -45,11 +45,14 @@ impl SiteTraining {
         marks: usize,
         deferrals: usize,
     ) -> Self {
+        let mut known_cookies: Vec<String> = known_cookies.into_iter().collect();
+        known_cookies.sort_unstable();
+        known_cookies.dedup();
         SiteTraining {
             pages_seen,
             stable_streak,
             active,
-            known_cookies: known_cookies.into_iter().collect(),
+            known_cookies,
             hidden_requests,
             marks,
             deferrals,
@@ -58,16 +61,31 @@ impl SiteTraining {
 
     /// The cookie names seen so far, sorted (deterministic encoding order).
     pub fn known_cookies_sorted(&self) -> Vec<&str> {
-        let mut known: Vec<&str> = self.known_cookies.iter().map(String::as_str).collect();
-        known.sort_unstable();
-        known
+        self.known_cookies.iter().map(String::as_str).collect()
+    }
+
+    /// Registers the cookies of one page view; returns whether any was new.
+    fn learn(&mut self, cookie_names: impl IntoIterator<Item = String>) -> bool {
+        let mut new_cookie = false;
+        for name in cookie_names {
+            if let Err(at) = self.known_cookies.binary_search(&name) {
+                self.known_cookies.insert(at, name);
+                new_cookie = true;
+            }
+        }
+        new_cookie
     }
 }
 
 /// Training state across all sites.
 #[derive(Debug, Clone, Default)]
 pub struct ForcumState {
-    sites: HashMap<String, SiteTraining>,
+    /// The first site trained, held inline: a training store keeps one
+    /// state per host, and a map of one site would allocate a table of
+    /// four slots for it.
+    first: Option<(String, SiteTraining)>,
+    /// Every other site.
+    more: HashMap<String, SiteTraining>,
     /// Stability window: page views without change before training stops.
     pub stability_window: usize,
 }
@@ -90,8 +108,7 @@ impl ToJson for SiteTraining {
 impl ToJson for ForcumState {
     fn to_json(&self) -> Json {
         let sites = self
-            .sites
-            .iter()
+            .sites()
             .fold(Json::object(), |acc, (host, site)| acc.set(host.clone(), site.to_json()));
         Json::object().set("sites", sites).set("stability_window", self.stability_window)
     }
@@ -100,29 +117,47 @@ impl ToJson for ForcumState {
 impl ForcumState {
     /// Creates a state with the given stability window.
     pub fn new(stability_window: usize) -> Self {
-        ForcumState { sites: HashMap::new(), stability_window }
+        ForcumState { first: None, more: HashMap::new(), stability_window }
+    }
+
+    /// Every site's training record, in no particular order.
+    fn sites(&self) -> impl Iterator<Item = (&String, &SiteTraining)> {
+        self.first.iter().map(|(host, site)| (host, site)).chain(&self.more)
     }
 
     /// The training record for `host`, if the site has been seen.
     pub fn site(&self, host: &str) -> Option<&SiteTraining> {
-        self.sites.get(host)
+        match &self.first {
+            Some((first, site)) if first == host => Some(site),
+            _ => self.more.get(host),
+        }
+    }
+
+    /// The training record for `host`, created fresh on first contact.
+    fn site_mut(&mut self, host: &str) -> &mut SiteTraining {
+        let (first, site) =
+            self.first.get_or_insert_with(|| (host.to_string(), SiteTraining::fresh()));
+        if first == host {
+            return site;
+        }
+        self.more.entry(host.to_string()).or_insert_with(SiteTraining::fresh)
     }
 
     /// Installs a persisted training record for `host` (snapshot restore).
     pub fn insert_site(&mut self, host: &str, site: SiteTraining) {
-        self.sites.insert(host.to_string(), site);
+        *self.site_mut(host) = site;
     }
 
     /// Whether FORCUM is currently active for `host` (a never-seen host is
     /// active by definition — training starts on first contact).
     pub fn is_active(&self, host: &str) -> bool {
-        self.sites.get(host).is_none_or(|s| s.active)
+        self.site(host).is_none_or(|s| s.active)
     }
 
     /// Manually (re)starts training for a site — the paper's "turned on …
     /// manually by a user if she wants to continue the training process".
     pub fn restart(&mut self, host: &str) {
-        let site = self.sites.entry(host.to_string()).or_insert_with(SiteTraining::fresh);
+        let site = self.site_mut(host);
         site.active = true;
         site.stable_streak = 0;
     }
@@ -141,12 +176,8 @@ impl ForcumState {
         hidden_issued: bool,
     ) -> bool {
         let window = self.stability_window;
-        let site = self.sites.entry(host.to_string()).or_insert_with(SiteTraining::fresh);
-
-        let mut new_cookie = false;
-        for name in cookie_names {
-            new_cookie |= site.known_cookies.insert(name);
-        }
+        let site = self.site_mut(host);
+        let new_cookie = site.learn(cookie_names);
         // New cookies re-activate a dormant site (§3.2, step 5).
         if new_cookie && !site.active {
             site.active = true;
@@ -179,11 +210,8 @@ impl ForcumState {
     ///
     /// Returns whether training is active after the update.
     pub fn defer(&mut self, host: &str, cookie_names: impl IntoIterator<Item = String>) -> bool {
-        let site = self.sites.entry(host.to_string()).or_insert_with(SiteTraining::fresh);
-        let mut new_cookie = false;
-        for name in cookie_names {
-            new_cookie |= site.known_cookies.insert(name);
-        }
+        let site = self.site_mut(host);
+        let new_cookie = site.learn(cookie_names);
         if new_cookie && !site.active {
             site.active = true;
         }
@@ -265,6 +293,36 @@ mod tests {
         state.observe("a.example", names(&["x"]), 0, true);
         assert!(!state.is_active("a.example"));
         assert!(state.is_active("b.example"));
+    }
+
+    #[test]
+    fn many_sites_keep_separate_records() {
+        let mut state = ForcumState::new(2);
+        for round in 0..3 {
+            for (i, host) in ["a.example", "b.example", "c.example"].into_iter().enumerate() {
+                // Each site sees its own cookies, in varying order.
+                let cookies = if round % 2 == 0 { ["z", "a"] } else { ["a", "z"] };
+                state.observe(host, cookies.map(|c| format!("{c}{i}")), usize::from(i == 2), true);
+            }
+        }
+        for (i, host) in ["a.example", "b.example", "c.example"].into_iter().enumerate() {
+            let site = state.site(host).unwrap();
+            assert_eq!(site.pages_seen, 3, "{host}");
+            assert_eq!(site.known_cookies_sorted(), [format!("a{i}"), format!("z{i}")]);
+        }
+        // Two quiet views after the cookies: a and b stop, c keeps marking.
+        assert!(!state.is_active("a.example") && !state.is_active("b.example"));
+        assert!(state.is_active("c.example"));
+        state
+            .insert_site("b.example", SiteTraining::from_parts(9, 0, true, names(&["k"]), 0, 0, 0));
+        assert_eq!(state.site("b.example").unwrap().pages_seen, 9);
+        assert_eq!(state.site("a.example").unwrap().pages_seen, 3);
+    }
+
+    #[test]
+    fn known_cookies_from_parts_are_sorted_and_distinct() {
+        let site = SiteTraining::from_parts(0, 0, true, names(&["b", "a", "b"]), 0, 0, 0);
+        assert_eq!(site.known_cookies_sorted(), ["a", "b"]);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl Document {
         self.nodes.len() == 1
     }
 
-    fn push(&mut self, data: NodeData) -> NodeId {
+    pub(crate) fn push(&mut self, data: NodeData) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("more than u32::MAX DOM nodes"));
         self.nodes.push(Node { parent: None, children: Vec::new(), data });
         id

@@ -4,6 +4,8 @@
 //! plus decimal/hexadecimal numeric references. Unknown references are left
 //! verbatim, as browsers do for unterminated/unrecognized entities.
 
+use std::borrow::Cow;
+
 /// Named character references recognized by [`decode_entities`].
 ///
 /// The table covers the HTML 4 core set (the 2007-era Web the paper crawled)
@@ -108,7 +110,7 @@ fn lookup_named(name: &str) -> Option<&'static str> {
 /// Decodes character references (`&amp;`, `&#65;`, `&#x41;`) in `input`.
 ///
 /// Unknown or malformed references are copied through unchanged, matching
-/// lenient browser behaviour.
+/// lenient browser behaviour. Input without a `&` comes back borrowed.
 ///
 /// ```
 /// use cp_html::entities::decode_entities;
@@ -116,9 +118,9 @@ fn lookup_named(name: &str) -> Option<&'static str> {
 /// assert_eq!(decode_entities("&#65;&#x42;"), "AB");
 /// assert_eq!(decode_entities("&bogus; &amp"), "&bogus; &amp");
 /// ```
-pub fn decode_entities(input: &str) -> String {
+pub fn decode_entities(input: &str) -> Cow<'_, str> {
     if !input.contains('&') {
-        return input.to_string();
+        return Cow::Borrowed(input);
     }
     let mut out = String::with_capacity(input.len());
     let bytes = input.as_bytes();
@@ -144,7 +146,7 @@ pub fn decode_entities(input: &str) -> String {
         out.push('&');
         i += 1;
     }
-    out
+    Cow::Owned(out)
 }
 
 fn utf8_len(first: u8) -> usize {

@@ -9,10 +9,13 @@
 //! * [`tokenizer`] — an HTML5-flavoured streaming tokenizer that never fails:
 //!   any byte sequence produces a token stream (tags, text, comments,
 //!   doctype), with raw-text handling for `<script>`/`<style>`/`<title>`/
-//!   `<textarea>`.
+//!   `<textarea>`. Tokens borrow from the input; names are lower-cased and
+//!   entities decoded only where needed.
 //! * [`parser`] — a forgiving tree builder: implied `<html>/<head>/<body>`,
 //!   void elements, automatic closing of `<p>`, `<li>`, table sections and
-//!   friends, recovery from mis-nested end tags.
+//!   friends, recovery from mis-nested end tags. It writes to any
+//!   [`TreeSink`]: [`parse_document`] builds a [`Document`], and the
+//!   detector's page compiler consumes the same node stream without one.
 //! * [`dom`] — an arena [`Document`] of
 //!   rooted-labeled-ordered nodes with traversal, query and text-extraction
 //!   helpers.
@@ -46,9 +49,9 @@ pub mod tokenizer;
 pub mod visibility;
 
 pub use dom::{Document, NodeData, NodeId};
-pub use parser::parse_document;
+pub use parser::{build_tree, parse_document, TreeSink};
 pub use select::{select, select_first, Selector};
 pub use serialize::serialize;
 pub use text::inner_text;
-pub use tokenizer::{tokenize, Attribute, Token};
+pub use tokenizer::{tokenize, AttrView, Attribute, TextSpan, Token, Tokenizer};
 pub use visibility::{element_visible, is_invisible_element_name, is_node_visible};

@@ -12,9 +12,17 @@
 //! * stray end tags are ignored; mis-nested end tags close up to the nearest
 //!   matching open element;
 //! * unterminated elements are closed at end of input.
+//!
+//! The rules are written once, in [`build_tree`], and the nodes they create
+//! go to a [`TreeSink`]. [`parse_document`] is that builder with a
+//! [`Document`] as the sink; `cookiepicker-core` runs the same builder with
+//! a sink that compiles the page for detection directly, with no
+//! `Document` in between.
 
-use crate::dom::{Document, NodeId};
-use crate::tokenizer::{tokenize, Token};
+use std::borrow::Cow;
+
+use crate::dom::{Document, NodeData, NodeId};
+use crate::tokenizer::{Attribute, TextSpan, Token, Tokenizer};
 
 /// Elements that never have content (HTML void elements).
 fn is_void(name: &str) -> bool {
@@ -74,6 +82,51 @@ fn closes_p(name: &str) -> bool {
     )
 }
 
+/// Where the tree builder puts the nodes it creates.
+///
+/// The builder only ever appends: every node is created as the last child
+/// of a node created before it, so a sink may lay nodes out in creation
+/// order. That order is preorder with one exception: head content seen
+/// after `</head>` (and before `<body>`) re-opens `<head>`, so it lands
+/// there behind nodes already appended to `<html>`.
+///
+/// The other exception to "a node is complete when created" is
+/// [`merge_attrs`](TreeSink::merge_attrs): a later `<html>`, `<head>` or
+/// `<body>` tag adds attributes to an element whose subtree may already
+/// have been built. Once `<html>` exists every later node lands inside it,
+/// and once `<body>` exists every later node lands inside `<body>`.
+pub trait TreeSink<'a> {
+    /// A created node, as the sink names it. Distinct nodes need distinct
+    /// handles: the builder compares them to find elements on its stack.
+    type Handle: Copy + PartialEq;
+
+    /// The document node, parent of the doctype and of `<html>`.
+    fn document(&self) -> Self::Handle;
+
+    /// Appends a doctype to `parent` (always the document).
+    fn append_doctype(&mut self, parent: Self::Handle, name: Cow<'a, str>);
+
+    /// Appends a comment to `parent`.
+    fn append_comment(&mut self, parent: Self::Handle, text: &'a str);
+
+    /// Appends a text node to `parent`.
+    fn append_text(&mut self, parent: Self::Handle, text: TextSpan<'a>);
+
+    /// Appends an element to `parent` and returns its handle. Attribute
+    /// names are lower-case and unique.
+    fn append_element(
+        &mut self,
+        parent: Self::Handle,
+        name: &str,
+        attrs: &[Attribute<'a>],
+    ) -> Self::Handle;
+
+    /// Adds attributes to `element` (`<html>`, `<head>` or `<body>`, named
+    /// `name`). Only names the element does not carry yet are passed, so
+    /// merging never changes a value.
+    fn merge_attrs(&mut self, element: Self::Handle, name: &str, attrs: &[Attribute<'a>]);
+}
+
 /// Parses an HTML document into a [`Document`] DOM tree. Never fails.
 ///
 /// ```
@@ -86,68 +139,107 @@ fn closes_p(name: &str) -> bool {
 /// assert_eq!(doc.element_children(body).len(), 2);
 /// ```
 pub fn parse_document(input: &str) -> Document {
-    let mut builder = TreeBuilder::new();
-    for token in tokenize(input) {
+    build_tree(input, Document::new())
+}
+
+/// Runs the tree builder over `input`, sending every node to `sink`, and
+/// returns the sink. Never fails: any input yields the `<html>`, `<head>`
+/// and `<body>` skeleton at least.
+pub fn build_tree<'a, S: TreeSink<'a>>(input: &'a str, sink: S) -> S {
+    let mut builder = TreeBuilder::new(sink);
+    for token in Tokenizer::new(input) {
         builder.process(token);
     }
     builder.finish()
 }
 
-struct TreeBuilder {
-    doc: Document,
-    /// Open element stack; `stack[0]` is the document node.
-    stack: Vec<NodeId>,
-    html: Option<NodeId>,
-    head: Option<NodeId>,
-    body: Option<NodeId>,
-    head_closed: bool,
+/// The `<html>`, `<head>` and `<body>` elements: the only ones that take
+/// attributes after creation.
+#[derive(Clone, Copy)]
+enum Skeleton {
+    Html,
+    Head,
+    Body,
 }
 
-impl TreeBuilder {
-    fn new() -> Self {
+impl Skeleton {
+    fn name(self) -> &'static str {
+        match self {
+            Skeleton::Html => "html",
+            Skeleton::Head => "head",
+            Skeleton::Body => "body",
+        }
+    }
+}
+
+struct TreeBuilder<'a, S: TreeSink<'a>> {
+    sink: S,
+    /// Open element stack with tag names; `stack[0]` is the document node,
+    /// named "" (no tag name matches it).
+    stack: Vec<(S::Handle, Cow<'a, str>)>,
+    html: Option<S::Handle>,
+    head: Option<S::Handle>,
+    body: Option<S::Handle>,
+    head_closed: bool,
+    /// Attribute names already on `<html>`, `<head>` and `<body>`, in
+    /// [`Skeleton`] order.
+    skeleton_attrs: [Vec<Cow<'a, str>>; 3],
+}
+
+impl<'a, S: TreeSink<'a>> TreeBuilder<'a, S> {
+    fn new(sink: S) -> Self {
+        let document = sink.document();
         TreeBuilder {
-            doc: Document::new(),
-            stack: vec![NodeId::DOCUMENT],
+            sink,
+            stack: vec![(document, Cow::Borrowed(""))],
             html: None,
             head: None,
             body: None,
             head_closed: false,
+            skeleton_attrs: Default::default(),
         }
     }
 
-    fn current(&self) -> NodeId {
-        *self.stack.last().expect("stack never empty")
+    fn current(&self) -> S::Handle {
+        self.stack.last().expect("stack never empty").0
     }
 
-    fn ensure_html(&mut self) -> NodeId {
+    fn current_name(&self) -> &str {
+        &self.stack.last().expect("stack never empty").1
+    }
+
+    fn is_open(&self, node: S::Handle) -> bool {
+        self.stack.iter().any(|&(n, _)| n == node)
+    }
+
+    fn ensure_html(&mut self) -> S::Handle {
         if let Some(h) = self.html {
             return h;
         }
-        let h = self.doc.create_element("html", vec![]);
-        self.doc.append_child(NodeId::DOCUMENT, h);
-        self.stack.push(h);
+        let document = self.sink.document();
+        let h = self.sink.append_element(document, "html", &[]);
+        self.stack.push((h, Cow::Borrowed("html")));
         self.html = Some(h);
         h
     }
 
-    fn ensure_head(&mut self) -> NodeId {
+    fn ensure_head(&mut self) -> S::Handle {
         if let Some(h) = self.head {
             return h;
         }
         let html = self.ensure_html();
-        let h = self.doc.create_element("head", vec![]);
-        self.doc.append_child(html, h);
+        let h = self.sink.append_element(html, "head", &[]);
         self.head = Some(h);
         h
     }
 
-    fn ensure_body(&mut self) -> NodeId {
+    fn ensure_body(&mut self) -> S::Handle {
         if let Some(b) = self.body {
             return b;
         }
         // Close the head if it is on the stack.
         if let Some(head) = self.head {
-            while self.stack.contains(&head) && self.current() != head {
+            while self.is_open(head) && self.current() != head {
                 self.stack.pop();
             }
             if self.current() == head {
@@ -160,10 +252,9 @@ impl TreeBuilder {
         let html = self.ensure_html();
         // Reset stack to [document, html] before opening body.
         self.stack.truncate(1);
-        self.stack.push(html);
-        let b = self.doc.create_element("body", vec![]);
-        self.doc.append_child(html, b);
-        self.stack.push(b);
+        self.stack.push((html, Cow::Borrowed("html")));
+        let b = self.sink.append_element(html, "body", &[]);
+        self.stack.push((b, Cow::Borrowed("body")));
         self.body = Some(b);
         b
     }
@@ -172,94 +263,78 @@ impl TreeBuilder {
         self.body.is_some()
     }
 
-    fn process(&mut self, token: Token) {
+    /// Merges `attrs` into a skeleton element: names it already carries
+    /// keep their values, as in browsers.
+    fn merge(&mut self, which: Skeleton, element: S::Handle, mut attrs: Vec<Attribute<'a>>) {
+        let present = &mut self.skeleton_attrs[which as usize];
+        attrs.retain(|a| !present.contains(&a.name));
+        if !attrs.is_empty() {
+            present.extend(attrs.iter().map(|a| a.name.clone()));
+            self.sink.merge_attrs(element, which.name(), &attrs);
+        }
+    }
+
+    fn process(&mut self, token: Token<'a>) {
         match token {
             Token::Doctype(name) => {
                 if self.html.is_none() {
-                    let d = self.doc.create_doctype(name);
-                    self.doc.append_child(NodeId::DOCUMENT, d);
+                    let document = self.sink.document();
+                    self.sink.append_doctype(document, name);
                 }
             }
             Token::Comment(text) => {
-                let c = self.doc.create_comment(text);
                 let parent = self.current();
-                self.doc.append_child(parent, c);
+                self.sink.append_comment(parent, text);
             }
             Token::Text(text) => self.process_text(text),
             Token::StartTag { name, attrs, self_closing } => {
-                self.process_start(&name, attrs, self_closing)
+                self.process_start(name, attrs, self_closing)
             }
             Token::EndTag(name) => self.process_end(&name),
         }
     }
 
-    fn process_text(&mut self, text: String) {
-        let in_head_context = !self.in_body();
-        if in_head_context {
-            // Whitespace before <body> is dropped; real text forces the body.
-            if text.trim().is_empty() {
-                // Inside a head raw-text element (title/style/script) keep it.
+    /// Whether the open element keeps text seen before `<body>`: a head
+    /// raw-text element (title/style) or a script.
+    fn keeps_head_text(&self) -> bool {
+        let current = self.current_name();
+        is_head_content(current) || current == "script"
+    }
+
+    fn process_text(&mut self, text: TextSpan<'a>) {
+        if !self.in_body() {
+            // Whitespace before <body> is dropped unless a head element
+            // keeps it; real text forces the body.
+            if self.keeps_head_text() {
                 let cur = self.current();
-                if self.doc.tag_name(cur).is_some_and(is_head_content)
-                    || self.doc.tag_name(cur) == Some("script")
-                {
-                    let t = self.doc.create_text(text);
-                    self.doc.append_child(cur, t);
-                }
+                self.sink.append_text(cur, text);
                 return;
             }
-            let cur = self.current();
-            if self.doc.tag_name(cur).is_some_and(is_head_content)
-                || self.doc.tag_name(cur) == Some("script")
-            {
-                let t = self.doc.create_text(text);
-                self.doc.append_child(cur, t);
+            if text.decode().trim().is_empty() {
                 return;
             }
             self.ensure_body();
         }
         let cur = self.current();
-        let t = self.doc.create_text(text);
-        self.doc.append_child(cur, t);
+        self.sink.append_text(cur, text);
     }
 
-    fn process_start(
-        &mut self,
-        name: &str,
-        attrs: Vec<crate::tokenizer::Attribute>,
-        self_closing: bool,
-    ) {
-        let attrs: Vec<(String, String)> = attrs.into_iter().map(|a| (a.name, a.value)).collect();
-        match name {
+    fn process_start(&mut self, name: Cow<'a, str>, attrs: Vec<Attribute<'a>>, self_closing: bool) {
+        match &*name {
             "html" => {
                 let h = self.ensure_html();
-                for (k, v) in attrs {
-                    if self.doc.attr(h, &k).is_none() {
-                        self.doc.set_attr(h, &k, v);
-                    }
-                }
-                return;
+                return self.merge(Skeleton::Html, h, attrs);
             }
             "head" => {
                 let h = self.ensure_head();
-                if !self.head_closed && !self.stack.contains(&h) {
-                    self.stack.push(h);
+                if !self.head_closed && !self.is_open(h) {
+                    self.stack.push((h, Cow::Borrowed("head")));
                 }
-                for (k, v) in attrs {
-                    if self.doc.attr(h, &k).is_none() {
-                        self.doc.set_attr(h, &k, v);
-                    }
-                }
-                return;
+                return self.merge(Skeleton::Head, h, attrs);
             }
             "body" => {
                 let b = self.ensure_body();
-                for (k, v) in attrs {
-                    if self.doc.attr(b, &k).is_none() {
-                        self.doc.set_attr(b, &k, v);
-                    }
-                }
-                return;
+                return self.merge(Skeleton::Body, b, attrs);
             }
             _ => {}
         }
@@ -268,10 +343,10 @@ impl TreeBuilder {
         // body opens; everything else forces the body (scripts may live in
         // either — they stay wherever we currently are).
         if !self.in_body() {
-            if is_head_content(name) || name == "script" {
+            if is_head_content(&name) || name == "script" {
                 let head = self.ensure_head();
-                if !self.stack.contains(&head) {
-                    self.stack.push(head);
+                if !self.is_open(head) {
+                    self.stack.push((head, Cow::Borrowed("head")));
                 }
             } else {
                 self.ensure_body();
@@ -279,7 +354,7 @@ impl TreeBuilder {
         }
 
         // Automatic closing rules.
-        match name {
+        match &*name {
             "p" if self.has_open("p") => self.close_nearest("p"),
             n if closes_p(n) && self.has_open("p") => self.close_nearest("p"),
             "li" if self.has_open_until("li", &["ul", "ol", "menu"]) => self.close_nearest("li"),
@@ -312,11 +387,10 @@ impl TreeBuilder {
             _ => {}
         }
 
-        let el = self.doc.create_element(name, attrs);
         let parent = self.current();
-        self.doc.append_child(parent, el);
-        if !is_void(name) && !self_closing {
-            self.stack.push(el);
+        let el = self.sink.append_element(parent, &name, &attrs);
+        if !is_void(&name) && !self_closing {
+            self.stack.push((el, name));
         }
     }
 
@@ -328,7 +402,7 @@ impl TreeBuilder {
             }
             "head" => {
                 if let Some(head) = self.head {
-                    if self.stack.contains(&head) {
+                    if self.is_open(head) {
                         while self.current() != head {
                             self.stack.pop();
                         }
@@ -342,8 +416,7 @@ impl TreeBuilder {
                 // A stray </p> creates an empty paragraph in browsers.
                 if self.in_body() {
                     let parent = self.current();
-                    let p = self.doc.create_element("p", vec![]);
-                    self.doc.append_child(parent, p);
+                    self.sink.append_element(parent, "p", &[]);
                 }
                 return;
             }
@@ -356,39 +429,73 @@ impl TreeBuilder {
     }
 
     fn has_open(&self, name: &str) -> bool {
-        self.stack.iter().any(|&n| self.doc.tag_name(n) == Some(name))
+        self.stack.iter().any(|(_, n)| n == name)
     }
 
     /// Whether `name` is open *above* (closer to the top than) any of the
     /// `barriers` — used for scoped auto-closing (e.g. `li` within `ul`).
     fn has_open_until(&self, name: &str, barriers: &[&str]) -> bool {
-        for &n in self.stack.iter().rev() {
-            match self.doc.tag_name(n) {
-                Some(t) if t == name => return true,
-                Some(t) if barriers.contains(&t) => return false,
-                _ => {}
+        for (_, n) in self.stack.iter().rev() {
+            if n == name {
+                return true;
+            }
+            if barriers.contains(&&**n) {
+                return false;
             }
         }
         false
     }
 
     fn close_nearest(&mut self, name: &str) {
-        while let Some(&top) = self.stack.last() {
-            if self.stack.len() <= 1 {
-                break;
-            }
-            let matched = self.doc.tag_name(top) == Some(name);
-            self.stack.pop();
-            if matched {
+        while self.stack.len() > 1 {
+            let (_, top) = self.stack.pop().expect("stack holds more than the document");
+            if top == name {
                 break;
             }
         }
     }
 
-    fn finish(mut self) -> Document {
+    fn finish(mut self) -> S {
         // Guarantee the skeleton exists even for empty input.
         self.ensure_body();
-        self.doc
+        self.sink
+    }
+}
+
+/// The DOM as a sink: every node becomes an arena node.
+impl<'a> TreeSink<'a> for Document {
+    type Handle = NodeId;
+
+    fn document(&self) -> NodeId {
+        NodeId::DOCUMENT
+    }
+
+    fn append_doctype(&mut self, parent: NodeId, name: Cow<'a, str>) {
+        let d = self.create_doctype(name.into_owned());
+        self.append_child(parent, d);
+    }
+
+    fn append_comment(&mut self, parent: NodeId, text: &'a str) {
+        let c = self.create_comment(text);
+        self.append_child(parent, c);
+    }
+
+    fn append_text(&mut self, parent: NodeId, text: TextSpan<'a>) {
+        let t = self.create_text(text.decode().into_owned());
+        self.append_child(parent, t);
+    }
+
+    fn append_element(&mut self, parent: NodeId, name: &str, attrs: &[Attribute<'a>]) -> NodeId {
+        let attrs = attrs.iter().map(|a| (a.name.to_string(), a.value.decode().into_owned()));
+        let el = self.push(NodeData::Element { name: name.to_string(), attrs: attrs.collect() });
+        self.append_child(parent, el);
+        el
+    }
+
+    fn merge_attrs(&mut self, element: NodeId, _name: &str, attrs: &[Attribute<'a>]) {
+        for a in attrs {
+            self.set_attr(element, &a.name, a.value.decode().into_owned());
+        }
     }
 }
 

@@ -1,63 +1,203 @@
-//! A forgiving, HTML5-flavoured streaming tokenizer.
+//! A forgiving, HTML5-flavoured streaming tokenizer that borrows from its
+//! input.
 //!
-//! The tokenizer turns arbitrary input into a flat stream of [`Token`]s and
+//! [`Tokenizer`] turns arbitrary input into a stream of [`Token`]s and
 //! **never fails**: malformed markup degrades into text or bogus comments,
 //! mirroring the error-recovery behaviour real browser parsers exhibit. This
 //! matters for CookiePicker because both page versions must be tokenized
 //! identically, malformed or not (paper §3.2, step 3).
 //!
-//! Raw-text elements (`script`, `style`, `textarea`, `title`) are handled as
-//! in browsers: after their start tag, everything up to the matching
-//! case-insensitive end tag is a single text token with no entity decoding
-//! (entities *are* decoded for `textarea`/`title`, per spec, but we keep the
-//! raw bytes for scripts and styles).
+//! Tokens are slices of the input. Tag and attribute names are lower-cased
+//! (copied) only when the source spells them with upper case, and character
+//! references in text and attribute values are decoded only when a consumer
+//! reads them ([`TextSpan::decode`]): a consumer that wants the tree shape
+//! alone decodes nothing and allocates only the attribute lists.
+//!
+//! Raw-text elements (`script`, `style`, `textarea`, `title`, `xmp`,
+//! `noframes`) are handled as in browsers: after their start tag,
+//! everything up to the matching case-insensitive end tag is a single text
+//! token. Entities are decoded for `textarea` and `title`, per spec; script
+//! and style bytes stay raw.
+
+use std::borrow::Cow;
+use std::fmt;
 
 use crate::entities::decode_entities;
 
-/// An attribute parsed from a start tag: lower-cased name, decoded value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute {
-    /// Lower-cased attribute name.
-    pub name: String,
-    /// Attribute value with entities decoded; empty for valueless attributes.
-    pub value: String,
+/// How a [`TextSpan`]'s source becomes characters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decoding {
+    /// Character data between tags: entities decoded, `<![CDATA[…]]>`
+    /// sections kept verbatim without their delimiters.
+    Data,
+    /// Attribute values and `title`/`textarea` content: entities decoded.
+    Escapable,
+    /// Script and style content: the bytes as they are.
+    Verbatim,
 }
 
-/// A lexical token produced by [`tokenize`].
+/// A run of characters borrowed from the input and decoded on demand.
+///
+/// Two spans are equal when they decode to the same string; a `&str`
+/// converts into a span that stands for exactly that string.
+#[derive(Clone, Copy)]
+pub struct TextSpan<'a> {
+    raw: &'a str,
+    decoding: Decoding,
+}
+
+impl<'a> TextSpan<'a> {
+    /// The characters the span stands for, borrowed from the input unless
+    /// a character reference or a CDATA section had to be rewritten.
+    pub fn decode(&self) -> Cow<'a, str> {
+        match self.decoding {
+            Decoding::Data => decode_data(self.raw),
+            Decoding::Escapable => decode_entities(self.raw),
+            Decoding::Verbatim => Cow::Borrowed(self.raw),
+        }
+    }
+}
+
+/// Decodes a data-state run: entities are decoded between CDATA sections,
+/// whose content is kept verbatim. The tokenizer lets `<!` into a run only
+/// as the opener of a CDATA section, and a lone `<` can never be part of a
+/// character reference, so decoding the stretch between two sections in one
+/// call equals decoding each of its `<`-separated pieces on its own.
+fn decode_data(raw: &str) -> Cow<'_, str> {
+    if !raw.contains("<!") {
+        return decode_entities(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut rest = raw;
+    while let Some(open) = rest.find("<!") {
+        out.push_str(&decode_entities(&rest[..open]));
+        let section = &rest[open + CDATA_OPEN.len()..];
+        match section.find("]]>") {
+            Some(close) => {
+                out.push_str(&section[..close]);
+                rest = &section[close + 3..];
+            }
+            None => {
+                out.push_str(section);
+                rest = "";
+            }
+        }
+    }
+    out.push_str(&decode_entities(rest));
+    Cow::Owned(out)
+}
+
+impl PartialEq for TextSpan<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.decode() == other.decode()
+    }
+}
+
+impl Eq for TextSpan<'_> {}
+
+impl PartialEq<str> for TextSpan<'_> {
+    fn eq(&self, other: &str) -> bool {
+        self.decode() == other
+    }
+}
+
+impl PartialEq<&str> for TextSpan<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        self.decode() == *other
+    }
+}
+
+impl fmt::Debug for TextSpan<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.decode(), f)
+    }
+}
+
+impl<'a> From<&'a str> for TextSpan<'a> {
+    fn from(text: &'a str) -> Self {
+        TextSpan { raw: text, decoding: Decoding::Verbatim }
+    }
+}
+
+/// An attribute parsed from a start tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub struct Attribute<'a> {
+    /// Lower-cased attribute name.
+    pub name: Cow<'a, str>,
+    /// Attribute value, entities decoded on read; empty for valueless
+    /// attributes.
+    pub value: TextSpan<'a>,
+}
+
+/// Read access to one attribute, whether it is an owned `(name, value)`
+/// pair of a [`Document`](crate::Document) element or an [`Attribute`]
+/// straight from the tokenizer. Rules that judge an element by its
+/// attributes ([`element_visible`](crate::element_visible)) are written
+/// once over this trait and read only the values they need.
+pub trait AttrView {
+    /// The lower-cased name.
+    fn name(&self) -> &str;
+    /// The decoded value.
+    fn value(&self) -> Cow<'_, str>;
+}
+
+impl AttrView for Attribute<'_> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn value(&self) -> Cow<'_, str> {
+        self.value.decode()
+    }
+}
+
+impl AttrView for (String, String) {
+    fn name(&self) -> &str {
+        &self.0
+    }
+
+    fn value(&self) -> Cow<'_, str> {
+        Cow::Borrowed(&self.1)
+    }
+}
+
+/// A lexical token produced by [`Tokenizer`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Token<'a> {
     /// `<!DOCTYPE name …>`.
     Doctype(
         /// The doctype name (lower-cased).
-        String,
+        Cow<'a, str>,
     ),
     /// `<name attr="…" …>` or `<name … />`.
     StartTag {
         /// Lower-cased tag name.
-        name: String,
-        /// Attributes in source order.
-        attrs: Vec<Attribute>,
+        name: Cow<'a, str>,
+        /// Attributes in source order; the first of a repeated name wins.
+        attrs: Vec<Attribute<'a>>,
         /// Whether the tag ended with `/>`.
         self_closing: bool,
     },
     /// `</name>`.
     EndTag(
         /// Lower-cased tag name.
-        String,
+        Cow<'a, str>,
     ),
-    /// Character data between tags, entities decoded.
+    /// Character data between tags. Adjacent runs, lone `<` and CDATA
+    /// sections form one token.
     Text(
-        /// The decoded text.
-        String,
+        /// The text, decoded on read.
+        TextSpan<'a>,
     ),
-    /// `<!-- … -->` (body without delimiters).
+    /// `<!-- … -->` (body without delimiters), or bogus markup.
     Comment(
         /// The comment body.
-        String,
+        &'a str,
     ),
 }
 
-/// Tokenizes an HTML document. Never fails; any input produces tokens.
+/// Tokenizes an HTML document into a vector. Never fails; any input
+/// produces tokens. [`Tokenizer`] yields the same tokens one at a time.
 ///
 /// ```
 /// use cp_html::{tokenize, Token};
@@ -67,84 +207,131 @@ pub enum Token {
 /// assert!(matches!(&toks[1], Token::Text(t) if t == "hi"));
 /// assert!(matches!(&toks[2], Token::EndTag(n) if n == "p"));
 /// ```
-pub fn tokenize(input: &str) -> Vec<Token> {
-    Tokenizer::new(input).run()
+pub fn tokenize(input: &str) -> Vec<Token<'_>> {
+    Tokenizer::new(input).collect()
 }
 
-/// Element names whose content is raw text (no tags recognized inside).
-fn is_raw_text_element(name: &str) -> bool {
-    matches!(name, "script" | "style" | "textarea" | "title" | "xmp" | "noframes")
+const CDATA_OPEN: &str = "<![CDATA[";
+
+/// The raw-text element `name` opens, if any (no tags are recognized
+/// inside one until its own end tag).
+fn raw_text_element(name: &str) -> Option<&'static str> {
+    ["script", "style", "textarea", "title", "xmp", "noframes"].into_iter().find(|&e| e == name)
 }
 
-struct Tokenizer<'a> {
+/// `s` lower-cased, copied only when it holds upper case.
+fn lower(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// The streaming tokenizer: an iterator of [`Token`]s borrowing from one
+/// input.
+///
+/// ```
+/// use cp_html::{Token, Tokenizer};
+/// let mut tokens = Tokenizer::new("<B>1 &lt; 2</b>");
+/// assert!(matches!(tokens.next(), Some(Token::StartTag { name, .. }) if name == "b"));
+/// let Some(Token::Text(text)) = tokens.next() else { panic!("text") };
+/// assert_eq!(text.decode(), "1 < 2");
+/// ```
+#[derive(Debug, Clone)]
+pub struct Tokenizer<'a> {
     input: &'a str,
-    bytes: &'a [u8],
     pos: usize,
-    tokens: Vec<Token>,
+    /// Set by the start tag of a raw-text element: the element whose end
+    /// tag closes the raw text that comes next.
+    raw: Option<&'static str>,
 }
 
 impl<'a> Tokenizer<'a> {
-    fn new(input: &'a str) -> Self {
-        Tokenizer { input, bytes: input.as_bytes(), pos: 0, tokens: Vec::new() }
+    /// A tokenizer positioned at the start of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Tokenizer { input, pos: 0, raw: None }
     }
 
-    fn run(mut self) -> Vec<Token> {
-        while self.pos < self.bytes.len() {
-            self.data_state();
-        }
-        self.tokens
+    fn bytes(&self) -> &'a [u8] {
+        self.input.as_bytes()
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn starts_with_ci(&self, s: &str) -> bool {
         let end = self.pos + s.len();
-        end <= self.bytes.len() && self.bytes[self.pos..end].eq_ignore_ascii_case(s.as_bytes())
+        end <= self.input.len() && self.bytes()[self.pos..end].eq_ignore_ascii_case(s.as_bytes())
     }
 
-    fn data_state(&mut self) {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
+    fn skip_whitespace(&mut self) {
+        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
             self.pos += 1;
         }
-        if self.pos > start {
-            let text = decode_entities(&self.input[start..self.pos]);
-            self.emit_text(text);
+    }
+
+    /// Advances while `keep` holds for the current byte; returns the slice
+    /// passed over.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.pos += 1;
         }
-        if self.pos >= self.bytes.len() {
-            return;
-        }
-        // At '<'.
-        match self.bytes.get(self.pos + 1) {
-            Some(b'/') => self.end_tag_state(),
-            Some(b'!') => self.markup_declaration_state(),
-            Some(b'?') => self.bogus_comment_state(self.pos + 1),
-            Some(c) if c.is_ascii_alphabetic() => self.start_tag_state(),
-            _ => {
-                // Lone '<': literal text.
-                self.emit_text("<".to_string());
-                self.pos += 1;
+        &self.input[start..self.pos]
+    }
+
+    /// Character data up to the next markup (or the end of input). Lone
+    /// `<` and CDATA sections are folded into the run; a run that stands
+    /// for no characters at all (only empty CDATA sections) yields nothing.
+    fn data(&mut self) -> Option<Token<'a>> {
+        let start = self.pos;
+        let mut has_chars = false;
+        loop {
+            let Some(run) = self.input[self.pos..].find('<') else {
+                has_chars |= self.pos < self.input.len();
+                self.pos = self.input.len();
+                break;
+            };
+            has_chars |= run > 0;
+            self.pos += run;
+            match self.bytes().get(self.pos + 1) {
+                Some(b'/' | b'?') => break,
+                Some(c) if c.is_ascii_alphabetic() => break,
+                Some(b'!') => {
+                    if !self.starts_with_ci(CDATA_OPEN) {
+                        break;
+                    }
+                    let content = self.pos + CDATA_OPEN.len();
+                    match self.input[content..].find("]]>") {
+                        Some(len) => {
+                            has_chars |= len > 0;
+                            self.pos = content + len + 3;
+                        }
+                        None => {
+                            has_chars |= content < self.input.len();
+                            self.pos = self.input.len();
+                            break;
+                        }
+                    }
+                }
+                // A lone '<' is literal text.
+                _ => {
+                    has_chars = true;
+                    self.pos += 1;
+                }
             }
         }
+        has_chars.then(|| {
+            Token::Text(TextSpan { raw: &self.input[start..self.pos], decoding: Decoding::Data })
+        })
     }
 
-    fn emit_text(&mut self, text: String) {
-        if text.is_empty() {
-            return;
-        }
-        if let Some(Token::Text(prev)) = self.tokens.last_mut() {
-            prev.push_str(&text);
-        } else {
-            self.tokens.push(Token::Text(text));
-        }
-    }
-
-    fn start_tag_state(&mut self) {
+    fn start_tag(&mut self) -> Token<'a> {
         self.pos += 1; // consume '<'
-        let name = self.read_tag_name();
-        let mut attrs = Vec::new();
+        let name = self.tag_name();
+        let mut attrs: Vec<Attribute<'a>> = Vec::new();
         let mut self_closing = false;
         loop {
             self.skip_whitespace();
@@ -164,61 +351,55 @@ impl<'a> Tokenizer<'a> {
                     // stray '/': ignore, continue attribute scanning
                 }
                 Some(_) => {
-                    if let Some(attr) = self.read_attribute() {
+                    if let Some(attr) = self.attribute() {
                         // First occurrence wins, as in browsers.
-                        if !attrs.iter().any(|a: &Attribute| a.name == attr.name) {
+                        if !attrs.iter().any(|a| a.name == attr.name) {
                             attrs.push(attr);
                         }
                     }
                 }
             }
         }
-        let raw = is_raw_text_element(&name);
-        self.tokens.push(Token::StartTag { name: name.clone(), attrs, self_closing });
-        if raw && !self_closing {
-            self.raw_text_state(&name);
+        if !self_closing {
+            self.raw = raw_text_element(&name);
         }
+        Token::StartTag { name, attrs, self_closing }
     }
 
-    fn raw_text_state(&mut self, element: &str) {
-        // Scan for `</element` case-insensitively.
-        let close = format!("</{element}");
+    /// The content of raw-text `element`: everything up to its
+    /// case-insensitive end tag, which is left for the data state.
+    fn raw_text(&mut self, element: &'static str) -> Option<Token<'a>> {
+        let bytes = self.bytes();
         let start = self.pos;
-        let mut end = self.bytes.len();
-        let mut i = self.pos;
-        while i < self.bytes.len() {
-            if self.bytes[i] == b'<' {
-                let t = Tokenizer { input: self.input, bytes: self.bytes, pos: i, tokens: vec![] };
-                if t.starts_with_ci(&close) {
-                    end = i;
-                    break;
-                }
+        let mut end = bytes.len();
+        let mut at = start;
+        while let Some(offset) = self.input[at..].find('<') {
+            at += offset;
+            let name_end = at + 2 + element.len();
+            if name_end <= bytes.len()
+                && bytes[at + 1] == b'/'
+                && bytes[at + 2..name_end].eq_ignore_ascii_case(element.as_bytes())
+            {
+                end = at;
+                break;
             }
-            i += 1;
-        }
-        let raw = &self.input[start..end];
-        let text = if matches!(element, "textarea" | "title") {
-            decode_entities(raw)
-        } else {
-            raw.to_string()
-        };
-        if !text.is_empty() {
-            self.tokens.push(Token::Text(text));
+            at += 1;
         }
         self.pos = end;
-        if end < self.bytes.len() {
-            self.end_tag_state();
-        }
+        let decoding = match element {
+            "textarea" | "title" => Decoding::Escapable,
+            _ => Decoding::Verbatim,
+        };
+        (end > start).then(|| Token::Text(TextSpan { raw: &self.input[start..end], decoding }))
     }
 
-    fn end_tag_state(&mut self) {
+    fn end_tag(&mut self) -> Token<'a> {
         self.pos += 2; // consume '</'
         if !self.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
             // '</>' or '</ ': bogus comment per spec; we skip to '>'.
-            self.bogus_comment_state(self.pos);
-            return;
+            return self.bogus_comment(self.pos);
         }
-        let name = self.read_tag_name();
+        let name = self.tag_name();
         // Skip anything up to '>'.
         while let Some(c) = self.peek() {
             self.pos += 1;
@@ -226,146 +407,100 @@ impl<'a> Tokenizer<'a> {
                 break;
             }
         }
-        self.tokens.push(Token::EndTag(name));
+        Token::EndTag(name)
     }
 
-    fn markup_declaration_state(&mut self) {
-        // At '<!'.
+    /// At `<!` that does not open a CDATA section (the data state folds
+    /// those into text).
+    fn markup_declaration(&mut self) -> Token<'a> {
         if self.starts_with_ci("<!--") {
-            self.comment_state();
+            self.pos += 4;
+            let start = self.pos;
+            let end = self.input[start..].find("-->").map_or(self.input.len(), |p| start + p);
+            self.pos = (end + 3).min(self.input.len());
+            Token::Comment(&self.input[start..end])
         } else if self.starts_with_ci("<!doctype") {
-            self.doctype_state();
-        } else if self.starts_with_ci("<![CDATA[") {
-            self.cdata_state();
+            self.pos += "<!doctype".len();
+            self.skip_whitespace();
+            let name = self.take_while(|c| !c.is_ascii_whitespace() && c != b'>');
+            while let Some(c) = self.peek() {
+                self.pos += 1;
+                if c == b'>' {
+                    break;
+                }
+            }
+            Token::Doctype(lower(name))
         } else {
-            self.bogus_comment_state(self.pos + 2);
+            self.bogus_comment(self.pos + 2)
         }
     }
 
-    fn comment_state(&mut self) {
-        self.pos += 4; // consume '<!--'
-        let start = self.pos;
-        let end = self.input[self.pos..].find("-->").map(|p| self.pos + p);
-        match end {
-            Some(e) => {
-                self.tokens.push(Token::Comment(self.input[start..e].to_string()));
-                self.pos = e + 3;
-            }
-            None => {
-                self.tokens.push(Token::Comment(self.input[start..].to_string()));
-                self.pos = self.bytes.len();
-            }
-        }
+    /// Everything from `content_start` up to the next '>' (consumed) is a
+    /// comment.
+    fn bogus_comment(&mut self, content_start: usize) -> Token<'a> {
+        let end =
+            self.input[content_start..].find('>').map_or(self.input.len(), |p| content_start + p);
+        self.pos = (end + 1).min(self.input.len());
+        Token::Comment(&self.input[content_start..end])
     }
 
-    fn doctype_state(&mut self) {
-        self.pos += "<!doctype".len();
-        self.skip_whitespace();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && !self.bytes[self.pos].is_ascii_whitespace()
-            && self.bytes[self.pos] != b'>'
-        {
-            self.pos += 1;
-        }
-        let name = self.input[start..self.pos].to_ascii_lowercase();
-        while let Some(c) = self.peek() {
-            self.pos += 1;
-            if c == b'>' {
-                break;
-            }
-        }
-        self.tokens.push(Token::Doctype(name));
+    fn tag_name(&mut self) -> Cow<'a, str> {
+        lower(self.take_while(|c| !c.is_ascii_whitespace() && !matches!(c, b'>' | b'/')))
     }
 
-    fn cdata_state(&mut self) {
-        self.pos += "<![CDATA[".len();
-        let start = self.pos;
-        let end = self.input[self.pos..].find("]]>").map(|p| self.pos + p);
-        match end {
-            Some(e) => {
-                self.emit_text(self.input[start..e].to_string());
-                self.pos = e + 3;
-            }
-            None => {
-                self.emit_text(self.input[start..].to_string());
-                self.pos = self.bytes.len();
-            }
-        }
-    }
-
-    fn bogus_comment_state(&mut self, content_start: usize) {
-        // Consume up to and including '>', emit as comment.
-        let mut i = content_start;
-        while i < self.bytes.len() && self.bytes[i] != b'>' {
-            i += 1;
-        }
-        self.tokens.push(Token::Comment(self.input[content_start..i].to_string()));
-        self.pos = (i + 1).min(self.bytes.len());
-    }
-
-    fn read_tag_name(&mut self) -> String {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && !self.bytes[self.pos].is_ascii_whitespace()
-            && !matches!(self.bytes[self.pos], b'>' | b'/')
-        {
-            self.pos += 1;
-        }
-        self.input[start..self.pos].to_ascii_lowercase()
-    }
-
-    fn skip_whitespace(&mut self) {
-        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn read_attribute(&mut self) -> Option<Attribute> {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && !self.bytes[self.pos].is_ascii_whitespace()
-            && !matches!(self.bytes[self.pos], b'=' | b'>' | b'/')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
+    fn attribute(&mut self) -> Option<Attribute<'a>> {
+        let name =
+            self.take_while(|c| !c.is_ascii_whitespace() && !matches!(c, b'=' | b'>' | b'/'));
+        if name.is_empty() {
             // Unexpected byte (e.g. '=' with no name): skip it to progress.
             self.pos += 1;
             return None;
         }
-        let name = self.input[start..self.pos].to_ascii_lowercase();
+        let name = lower(name);
         self.skip_whitespace();
         if self.peek() != Some(b'=') {
-            return Some(Attribute { name, value: String::new() });
+            return Some(Attribute {
+                name,
+                value: TextSpan { raw: "", decoding: Decoding::Escapable },
+            });
         }
         self.pos += 1; // consume '='
         self.skip_whitespace();
-        let value = match self.peek() {
+        let raw = match self.peek() {
             Some(q @ (b'"' | b'\'')) => {
                 self.pos += 1;
-                let vstart = self.pos;
-                while self.pos < self.bytes.len() && self.bytes[self.pos] != q {
-                    self.pos += 1;
-                }
-                let raw = &self.input[vstart..self.pos];
-                if self.pos < self.bytes.len() {
+                let raw = self.take_while(|c| c != q);
+                if self.pos < self.input.len() {
                     self.pos += 1; // closing quote
                 }
-                decode_entities(raw)
+                raw
             }
-            _ => {
-                let vstart = self.pos;
-                while self.pos < self.bytes.len()
-                    && !self.bytes[self.pos].is_ascii_whitespace()
-                    && self.bytes[self.pos] != b'>'
-                {
-                    self.pos += 1;
-                }
-                decode_entities(&self.input[vstart..self.pos])
-            }
+            _ => self.take_while(|c| !c.is_ascii_whitespace() && c != b'>'),
         };
-        Some(Attribute { name, value })
+        Some(Attribute { name, value: TextSpan { raw, decoding: Decoding::Escapable } })
+    }
+}
+
+impl<'a> Iterator for Tokenizer<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        if let Some(element) = self.raw.take() {
+            if let Some(text) = self.raw_text(element) {
+                return Some(text);
+            }
+        }
+        if let Some(text) = self.data() {
+            return Some(text);
+        }
+        // At the end, or at a '<' that opens markup.
+        let next = *self.bytes().get(self.pos + 1)?;
+        Some(match next {
+            b'/' => self.end_tag(),
+            b'!' => self.markup_declaration(),
+            b'?' => self.bogus_comment(self.pos + 1),
+            _ => self.start_tag(),
+        })
     }
 }
 
@@ -373,7 +508,7 @@ impl<'a> Tokenizer<'a> {
 mod tests {
     use super::*;
 
-    fn start(name: &str) -> Token {
+    fn start(name: &str) -> Token<'_> {
         Token::StartTag { name: name.into(), attrs: vec![], self_closing: false }
     }
 
@@ -429,18 +564,14 @@ mod tests {
         let toks = tokenize("a<!-- hidden -->b");
         assert_eq!(
             toks,
-            vec![
-                Token::Text("a".into()),
-                Token::Comment(" hidden ".into()),
-                Token::Text("b".into())
-            ]
+            vec![Token::Text("a".into()), Token::Comment(" hidden "), Token::Text("b".into())]
         );
     }
 
     #[test]
     fn unterminated_comment_consumes_rest() {
         let toks = tokenize("x<!-- never closed");
-        assert_eq!(toks[1], Token::Comment(" never closed".into()));
+        assert_eq!(toks[1], Token::Comment(" never closed"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! extractor, and the synthetic-site generator all agree on it.
 
 use crate::dom::{Document, NodeData, NodeId};
+use crate::tokenizer::AttrView;
 
 /// Element names that never produce visual output.
 ///
@@ -53,30 +54,32 @@ pub fn is_node_visible(doc: &Document, id: NodeId) -> bool {
 /// The element case of [`is_node_visible`], judged from the name and the
 /// attribute list directly — one pass over the attributes instead of one
 /// scan per interesting attribute, for callers (like the compiled page
-/// analysis) that already hold the element data.
+/// analysis) that already hold the element data. The list may be a
+/// `Document`'s `(name, value)` pairs or the tokenizer's attributes; only
+/// the `type` and `style` values are read (and so decoded).
 ///
 /// Duplicate attributes follow [`Document::attr`] semantics: the first
 /// occurrence of a name wins.
-pub fn element_visible(name: &str, attrs: &[(String, String)]) -> bool {
+pub fn element_visible<A: AttrView>(name: &str, attrs: &[A]) -> bool {
     if is_invisible_element_name(name) {
         return false;
     }
     let (mut hidden, mut ty, mut style) = (false, None, None);
-    for (k, v) in attrs {
-        match k.as_str() {
+    for a in attrs {
+        match a.name() {
             "hidden" => hidden = true,
-            "type" if ty.is_none() => ty = Some(v.as_str()),
-            "style" if style.is_none() => style = Some(v.as_str()),
+            "type" if ty.is_none() => ty = Some(a),
+            "style" if style.is_none() => style = Some(a),
             _ => {}
         }
     }
     if hidden {
         return false;
     }
-    if name == "input" && ty.is_some_and(|t| t.eq_ignore_ascii_case("hidden")) {
+    if name == "input" && ty.is_some_and(|t| t.value().eq_ignore_ascii_case("hidden")) {
         return false;
     }
-    !style.is_some_and(style_hides)
+    !style.is_some_and(|s| style_hides(&s.value()))
 }
 
 /// Whether an inline style declares `display:none` or `visibility:hidden`,

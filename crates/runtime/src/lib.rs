@@ -13,6 +13,7 @@
 //! | [`json`](mod@json) | `serde`/`serde_json` | [`json::Json`] value, strict parser, fixture-compatible writers, [`json!`] builder macro |
 //! | [`par`]  | `crossbeam::scope` | [`par::par_map_indexed`] — ordered scoped fan-out with a worker cap |
 //! | [`sync`] | `parking_lot`      | guard-returning `Mutex` / `RwLock` |
+//! | [`lru`]  | `lru`              | [`lru::Lru`] — exact least-recently-used map, O(1) touch and eviction |
 //! | [`metrics`] | `prometheus`    | atomic `Counter` / `Gauge` / latency `Histogram` for the service layer |
 //! | [`net`]  | `mio`/`epoll` crates | [`net::Poller`] — level-triggered readiness polling via the libc std links (epoll on Linux, `poll(2)` on other unix targets) |
 //!
@@ -22,6 +23,7 @@
 //! scheduling — so one seed always produces one report, byte for byte.
 
 pub mod json;
+pub mod lru;
 pub mod metrics;
 pub mod net;
 pub mod par;

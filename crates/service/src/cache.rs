@@ -1,5 +1,5 @@
-//! The page-analysis cache: compiled [`PageAnalysis`] values keyed by the
-//! FNV-1a hash of the page body bytes.
+//! The page-analysis cache: compiled [`PageAnalysis`] values keyed by a
+//! keyed hash of the page body bytes.
 //!
 //! Both `/v1/classify` bodies and `EmbeddedWorld` renders repeat heavily —
 //! the world is deterministic, so the same `(site, path, cookies)` triple
@@ -8,58 +8,46 @@
 //! what makes reuse safe: a `PageAnalysis` depends only on the body and
 //! the `compare_from_body` flag, never on the opposing page or the
 //! thresholds, so any comparison may use a cached entry and still produce
-//! a bit-identical decision.
+//! a bit-identical decision. A miss compiles straight from the bytes
+//! ([`PageAnalysis::from_html`]); no `Document` is built.
 //!
-//! Keys are `fnv1a64(body) ^ root_salt` where the salt separates the
-//! body-rooted from the document-rooted compilation of the same bytes —
-//! the only configuration axis that changes what is compiled.
+//! Keys hash the root flag and the body with std's [`RandomState`]
+//! (SipHash-1-3 under keys drawn at random per cache). Client classify
+//! bodies share the cache with world renders, so the key must not be
+//! predictable: with an unkeyed hash a client could craft a body that
+//! collides with a rendered page and have that page's visits decided on
+//! the client's analysis.
 //!
-//! Eviction is least-recently-used over a small fixed capacity. The scan
-//! is `O(capacity)` on insert only; lookups are one hash probe under a
-//! mutex held for nanoseconds (the expensive parse + extract runs
-//! *outside* the lock, so concurrent misses on distinct bodies do not
-//! serialize — two racing misses on the *same* body both build, and the
-//! loser's identical value is dropped).
+//! Eviction is exact least-recently-used over a fixed capacity
+//! ([`Lru`]: O(1) per hit and per insert). The mutex is held for one map
+//! probe; the expensive parse + extract runs *outside* the lock, so
+//! concurrent misses on distinct bodies do not serialize — two racing
+//! misses on the *same* body both build, and the loser's identical value
+//! is dropped.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
-use cookiepicker_core::{fnv1a64, PageAnalysis};
+use cookiepicker_core::PageAnalysis;
+use cp_runtime::lru::Lru;
 use cp_runtime::sync::Mutex;
-
-/// Key salt for analyses rooted at `<body>` (`compare_from_body = true`).
-const BODY_ROOT_SALT: u64 = 0x424f_4459_524f_4f54;
-/// Key salt for analyses rooted at the document.
-const DOC_ROOT_SALT: u64 = 0x444f_4352_4f4f_5421;
-
-struct Entry {
-    analysis: Arc<PageAnalysis>,
-    last_used: u64,
-}
-
-struct Inner {
-    map: HashMap<u64, Entry>,
-    tick: u64,
-}
 
 /// A bounded LRU cache of compiled page analyses. See the module docs.
 pub struct AnalysisCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
+    keys: RandomState,
+    entries: Mutex<Lru<u64, Arc<PageAnalysis>>>,
 }
 
 impl AnalysisCache {
     /// Creates a cache holding at most `capacity` analyses (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        AnalysisCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(Inner { map: HashMap::new(), tick: 0 }),
-        }
+        AnalysisCache { keys: RandomState::new(), entries: Mutex::new(Lru::new(capacity)) }
     }
 
     /// Number of cached analyses.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.entries.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -70,37 +58,16 @@ impl AnalysisCache {
     /// Returns the compiled analysis for `html`, building and inserting it
     /// on miss. The second element reports whether this was a hit.
     pub fn get_or_analyze(&self, html: &str, compare_from_body: bool) -> (Arc<PageAnalysis>, bool) {
-        let salt = if compare_from_body { BODY_ROOT_SALT } else { DOC_ROOT_SALT };
-        let key = fnv1a64(html.as_bytes()) ^ salt;
-        {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                entry.last_used = tick;
-                return (Arc::clone(&entry.analysis), true);
-            }
+        let mut hasher = self.keys.build_hasher();
+        hasher.write_u8(u8::from(compare_from_body));
+        hasher.write(html.as_bytes());
+        let key = hasher.finish();
+        if let Some(hit) = self.entries.lock().get(&key) {
+            return (Arc::clone(hit), true);
         }
         // Miss: compile outside the lock so other threads proceed.
         let analysis = Arc::new(PageAnalysis::from_html(html, compare_from_body));
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner
-            .map
-            .entry(key)
-            .or_insert_with(|| Entry { analysis: Arc::clone(&analysis), last_used: tick });
-        entry.last_used = tick;
-        let result = Arc::clone(&entry.analysis);
-        if inner.map.len() > self.capacity {
-            // The just-touched entry carries the newest tick, so the
-            // minimum is always some other entry.
-            let victim = inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                inner.map.remove(&victim);
-            }
-        }
-        (result, false)
+        (Arc::clone(self.entries.lock().get_or_insert(key, analysis)), false)
     }
 }
 

@@ -14,7 +14,7 @@
 //! interleave. That is both the scalability story (no global RNG lock on
 //! the hot path) and what makes `loadgen` runs reproducible.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,6 +23,7 @@ use cookiepicker_core::{decide_analyzed, CookiePickerConfig, DetectionRecord};
 use cp_cookies::{parse_cookie_header, SimTime};
 use cp_net::{FaultKind, FaultRates};
 use cp_runtime::json::{escape_into, Json, ToJson};
+use cp_runtime::lru::Lru;
 use cp_runtime::rng::{SeedableRng, StdRng};
 use cp_runtime::sync::Mutex;
 use cp_webworld::render::{render_page, RenderInput};
@@ -185,42 +186,39 @@ impl ToJson for VisitOutcome {
 /// populations and a hot Zipf head, bounded regardless of world size.
 pub const DEFAULT_SITE_CACHE: usize = 1024;
 
-/// A site spec derived from the universe plus everything per-visit code
-/// would otherwise recompute per request — today the canonical page paths,
-/// which [`SiteSpec::page_paths`] allocates fresh on every call.
+/// A site spec derived from the universe plus what per-visit code would
+/// otherwise re-format on every request: each cookie's `name=value`.
 #[derive(Debug)]
 pub struct DerivedSite {
     /// The derived (or pinned-overlay) spec.
     pub spec: Arc<SiteSpec>,
-    /// `spec.page_paths()`, computed once when the site enters the cache.
-    pub paths: Vec<String>,
-    /// Per-path issued `name=value` cookies, parallel to [`paths`]
-    /// (plus the entry-redirect target): the Observe hot path serves
-    /// them by lookup instead of re-formatting on every visit.
-    ///
-    /// [`paths`]: DerivedSite::paths
-    issued: Vec<(String, Vec<String>)>,
+    /// `name=value` of each cookie in `spec.cookies`, in the same order,
+    /// formatted once when the site enters the cache.
+    issued: Vec<String>,
 }
 
 impl DerivedSite {
-    /// The cookies this site issues on `path`, from the precomputed table
-    /// when `path` is canonical, formatted on the fly otherwise.
-    pub fn issued_for(&self, path: &str) -> Vec<String> {
-        match self.issued.iter().find(|(p, _)| p == path) {
-            Some((_, cookies)) => cookies.clone(),
-            None => issued_cookies(&self.spec, path),
-        }
+    fn new(spec: Arc<SiteSpec>) -> Self {
+        let issued = spec
+            .cookies
+            .iter()
+            .map(|c| format!("{}={}", c.name, cookie_value(&spec, &c.name)))
+            .collect();
+        DerivedSite { spec, issued }
     }
-}
 
-/// The `name=value` cookies `spec` (re-)issues on `path` — what the
-/// client should present next time, and FORCUM's new-cookie signal.
-fn issued_cookies(spec: &SiteSpec, path: &str) -> Vec<String> {
-    spec.cookies
-        .iter()
-        .filter(|c| c.scope.matches(path))
-        .map(|c| format!("{}={}", c.name, cookie_value(spec, &c.name)))
-        .collect()
+    /// The `name=value` cookies this site (re-)issues on `path`, in spec
+    /// order — what the client should present next time, and FORCUM's
+    /// new-cookie signal: the cookies whose scope matches `path`.
+    pub fn issued_for(&self, path: &str) -> Vec<String> {
+        self.spec
+            .cookies
+            .iter()
+            .zip(&self.issued)
+            .filter(|(c, _)| c.scope.matches(path))
+            .map(|(_, issued)| issued.clone())
+            .collect()
+    }
 }
 
 /// How a site lookup was satisfied — the `result` label on
@@ -246,31 +244,17 @@ impl DeriveOutcome {
     }
 }
 
-struct SiteCacheEntry {
-    site: Arc<DerivedSite>,
-    last_used: u64,
-}
-
-struct SiteCacheInner {
-    map: HashMap<String, SiteCacheEntry>,
-    tick: u64,
-}
-
-/// Bounded LRU of derived sites, keyed by host — the same tick-stamped
-/// eviction scheme as [`AnalysisCache`]. This is what makes a
-/// `uniform:1000000` world O(cache) memory: only the hosts actually
-/// visited recently are materialized.
+/// Bounded exact-LRU of derived sites, keyed by host, on the same [`Lru`]
+/// as [`AnalysisCache`]. This is what makes a `uniform:1000000` world
+/// O(cache) memory: only the hosts actually visited recently are
+/// materialized.
 struct SiteCache {
-    inner: Mutex<SiteCacheInner>,
-    capacity: usize,
+    entries: Mutex<Lru<String, Arc<DerivedSite>>>,
 }
 
 impl SiteCache {
     fn new(capacity: usize) -> Self {
-        SiteCache {
-            inner: Mutex::new(SiteCacheInner { map: HashMap::new(), tick: 0 }),
-            capacity: capacity.max(1),
-        }
+        SiteCache { entries: Mutex::new(Lru::new(capacity)) }
     }
 
     /// Looks up `host`, deriving from `universe` on a miss. Returns the
@@ -281,14 +265,8 @@ impl SiteCache {
         universe: &Universe,
         host: &str,
     ) -> (Option<Arc<DerivedSite>>, DeriveOutcome, u64) {
-        {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(host) {
-                entry.last_used = tick;
-                return (Some(Arc::clone(&entry.site)), DeriveOutcome::Hit, 0);
-            }
+        if let Some(site) = self.entries.lock().get(host) {
+            return (Some(Arc::clone(site)), DeriveOutcome::Hit, 0);
         }
         // Derive outside the lock: misses on distinct hosts proceed in
         // parallel; a racing double-derive is benign (pure function).
@@ -296,30 +274,9 @@ impl SiteCache {
         let Some(spec) = universe.derive(host) else {
             return (None, DeriveOutcome::Unknown, 0);
         };
-        let paths = spec.page_paths();
-        let mut issued: Vec<(String, Vec<String>)> =
-            paths.iter().map(|p| (p.clone(), issued_cookies(&spec, p))).collect();
-        for extra in ["/", "/home"] {
-            if !issued.iter().any(|(p, _)| p == extra) {
-                issued.push((extra.to_string(), issued_cookies(&spec, extra)));
-            }
-        }
-        let site = Arc::new(DerivedSite { spec, paths, issued });
+        let site = Arc::new(DerivedSite::new(spec));
         let micros = started.elapsed().as_micros() as u64;
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner
-            .map
-            .entry(host.to_string())
-            .or_insert_with(|| SiteCacheEntry { site: Arc::clone(&site), last_used: tick });
-        if inner.map.len() > self.capacity {
-            if let Some(oldest) =
-                inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(host, _)| host.clone())
-            {
-                inner.map.remove(&oldest);
-            }
-        }
+        let site = Arc::clone(self.entries.lock().get_or_insert(host.to_string(), site));
         (Some(site), DeriveOutcome::Miss, micros)
     }
 }
@@ -486,8 +443,8 @@ impl EmbeddedWorld {
             .map(|(name, _)| name.clone())
             .collect();
 
-        // Cookies the site (re-)issues on this path: precomputed per
-        // canonical path when the site entered the derive cache.
+        // Cookies the site (re-)issues on this path: each formatted once
+        // when the site entered the derive cache, filtered by scope here.
         let set_cookies: Vec<String> = site.issued_for(path);
         let mut observed: Vec<String> = sent.iter().map(|(name, _)| name.clone()).collect();
         observed.extend(
@@ -710,6 +667,38 @@ mod tests {
             inconclusive: Some("time\rout".to_string()),
         };
         assert_eq!(quirky.to_compact_json(), quirky.to_json().to_compact());
+    }
+
+    #[test]
+    fn issued_for_equals_the_scope_filtered_cookie_list() {
+        let reference = |spec: &SiteSpec, path: &str| -> Vec<String> {
+            spec.cookies
+                .iter()
+                .filter(|c| c.scope.matches(path))
+                .map(|c| format!("{}={}", c.name, cookie_value(spec, &c.name)))
+                .collect()
+        };
+        let worlds = [
+            EmbeddedWorld::new(7),
+            EmbeddedWorld::with_world(11, WorldKind::parse("uniform:100000").unwrap(), 64),
+        ];
+        let (mut sites, mut checked) = (0, 0);
+        for world in &worlds {
+            for host in world.hosts_after(None, 300).unwrap() {
+                let site = world.site(&host).unwrap();
+                let mut paths = site.spec.page_paths();
+                // The entry-redirect target, the front page, and a path no
+                // prefix scope matches.
+                paths.extend(["/", "/home", "/~unscoped/page"].map(String::from));
+                for path in &paths {
+                    assert_eq!(site.issued_for(path), reference(&site.spec, path), "{host}{path}");
+                    checked += 1;
+                }
+                sites += 1;
+            }
+        }
+        assert_eq!(sites, 330, "every Table-1 site and 300 uniform ones");
+        assert!(checked > 3_000, "only {checked} paths checked");
     }
 
     #[test]

@@ -204,6 +204,30 @@ impl DetectTree {
     }
 }
 
+/// A compiled tree is itself a view: node `0` is the root, and labels,
+/// flags and child lists read straight from the arrays. Walking one in
+/// preorder is how tests compare two compilations of the same page.
+impl TreeView for DetectTree {
+    type Node = u32;
+
+    fn root(&self) -> Option<u32> {
+        (!self.is_empty()).then_some(0)
+    }
+
+    fn children(&self, n: u32) -> Vec<u32> {
+        let start = self.child_start[n as usize] as usize;
+        self.children[start..start + self.child_count[n as usize] as usize].to_vec()
+    }
+
+    fn label(&self, n: u32) -> &str {
+        self.symbols.name(self.labels[n as usize])
+    }
+
+    fn countable(&self, n: u32) -> bool {
+        self.countable[n as usize]
+    }
+}
+
 fn build<T: TreeView>(view: &T, n: T::Node, builder: &mut DetectTreeBuilder) {
     builder.enter(view.label(n), view.countable(n));
     for c in view.children(n) {
@@ -220,14 +244,17 @@ fn build<T: TreeView>(view: &T, n: T::Node, builder: &mut DetectTreeBuilder) {
 /// Events must nest properly: one `leave` per `enter`, innermost first.
 /// Node ids are assigned in `enter` (preorder) and every node's children
 /// end up contiguous, exactly as [`DetectTree::from_view`] lays them out —
-/// `from_view` is itself implemented on this builder.
+/// `from_view` is itself implemented on this builder. Sources that cannot
+/// nest their events name each node's parent instead
+/// ([`append_sym`](Self::append_sym)); ids then follow creation order.
 ///
 /// During the traversal the builder only records each node's parent id —
 /// two array pushes and a stack peek per node. The contiguous child lists
 /// are produced in [`finish`](Self::finish) by a counting sort over the
-/// parent array (preorder ids are increasing within every sibling list, so
-/// the sort is stable by construction), which is three linear passes
-/// instead of per-node child-list bookkeeping.
+/// parent array (ids increase along every sibling list, since a node is
+/// always appended after its earlier siblings, so the sort is stable by
+/// construction), which is three linear passes instead of per-node
+/// child-list bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct DetectTreeBuilder {
     tree: DetectTree,
@@ -297,13 +324,34 @@ impl DetectTreeBuilder {
         self.push_node(sym, countable);
     }
 
-    fn push_node(&mut self, sym: u32, countable: bool) -> u32 {
+    /// Appends a node as the last child of `parent` (a root when `None`)
+    /// and returns its id, without touching the enter/leave stack — for
+    /// sources that name each node's parent instead of nesting events,
+    /// such as an HTML tree builder that re-opens an element it already
+    /// closed. The parent may be any node added before.
+    ///
+    /// # Panics
+    /// Panics when `sym` was not issued by this builder's table.
+    pub fn append_sym(&mut self, parent: Option<u32>, sym: u32, countable: bool) -> u32 {
         assert!((sym as usize) < self.tree.symbols.len(), "unknown symbol");
         let id = self.tree.labels.len() as u32;
         self.tree.labels.push(sym);
         self.tree.countable.push(countable);
-        self.parents.push(self.stack.last().copied().unwrap_or(u32::MAX));
+        self.parents.push(parent.unwrap_or(u32::MAX));
         id
+    }
+
+    /// Changes the countable flag of node `id`, for sources that learn
+    /// more about a node after adding it.
+    ///
+    /// # Panics
+    /// Panics when `id` was not issued by this builder.
+    pub fn set_countable(&mut self, id: u32, countable: bool) {
+        self.tree.countable[id as usize] = countable;
+    }
+
+    fn push_node(&mut self, sym: u32, countable: bool) -> u32 {
+        self.append_sym(self.stack.last().copied(), sym, countable)
     }
 
     /// Closes the innermost open node.
