@@ -8,9 +8,9 @@
 
 use std::collections::HashMap;
 
-use cp_runtime::json::{Json, ToJson};
+use crate::names::NameSet;
 
-/// Training state for one site.
+/// Training state for one site, and FORCUM's transition rules.
 #[derive(Debug, Clone, Default)]
 pub struct SiteTraining {
     /// Page views observed while training was active.
@@ -19,8 +19,8 @@ pub struct SiteTraining {
     pub stable_streak: usize,
     /// Whether the FORCUM process is currently on for this site.
     pub active: bool,
-    /// Cookie names seen so far on this site, sorted and distinct.
-    known_cookies: Vec<String>,
+    /// Cookie names seen so far on this site.
+    known_cookies: NameSet,
     /// Hidden requests issued for this site.
     pub hidden_requests: usize,
     /// Usefulness marks applied on this site.
@@ -45,14 +45,11 @@ impl SiteTraining {
         marks: usize,
         deferrals: usize,
     ) -> Self {
-        let mut known_cookies: Vec<String> = known_cookies.into_iter().collect();
-        known_cookies.sort_unstable();
-        known_cookies.dedup();
         SiteTraining {
             pages_seen,
             stable_streak,
             active,
-            known_cookies,
+            known_cookies: known_cookies.into_iter().collect(),
             hidden_requests,
             marks,
             deferrals,
@@ -61,91 +58,145 @@ impl SiteTraining {
 
     /// The cookie names seen so far, sorted (deterministic encoding order).
     pub fn known_cookies_sorted(&self) -> Vec<&str> {
-        self.known_cookies.iter().map(String::as_str).collect()
+        self.known_cookies.iter().collect()
     }
 
     /// Registers the cookies of one page view; returns whether any was new.
-    fn learn(&mut self, cookie_names: impl IntoIterator<Item = String>) -> bool {
+    fn learn(&mut self, cookie_names: impl IntoIterator<Item = impl AsRef<str>>) -> bool {
         let mut new_cookie = false;
         for name in cookie_names {
-            if let Err(at) = self.known_cookies.binary_search(&name) {
-                self.known_cookies.insert(at, name);
-                new_cookie = true;
-            }
+            new_cookie |= self.known_cookies.insert(name.as_ref());
         }
         new_cookie
     }
+
+    /// Manually (re)starts training — the paper's "turned on … manually by
+    /// a user if she wants to continue the training process".
+    pub fn restart(&mut self) {
+        self.active = true;
+        self.stable_streak = 0;
+    }
+
+    /// Records a page view. `cookie_names` are the cookies observed in
+    /// this view (request + response); `marked` is how many useful marks
+    /// it produced; `hidden_issued` whether a hidden request was sent.
+    /// Training stops after `window` views without change.
+    ///
+    /// Returns whether training is active *after* the update.
+    pub fn observe(
+        &mut self,
+        window: usize,
+        cookie_names: impl IntoIterator<Item = impl AsRef<str>>,
+        marked: usize,
+        hidden_issued: bool,
+    ) -> bool {
+        let new_cookie = self.learn(cookie_names);
+        // New cookies re-activate a dormant site (§3.2, step 5).
+        if new_cookie && !self.active {
+            self.restart();
+        }
+        if !self.active {
+            return false;
+        }
+
+        self.pages_seen += 1;
+        self.hidden_requests += usize::from(hidden_issued);
+        self.marks += marked;
+        if new_cookie || marked > 0 {
+            self.stable_streak = 0;
+        } else {
+            self.stable_streak += 1;
+            if self.stable_streak >= window {
+                self.active = false;
+            }
+        }
+        self.active
+    }
+
+    /// Records a page view whose hidden probe was *inconclusive* (failed
+    /// or suspect fetch). The view is evidence of nothing, so the
+    /// stability streak neither advances nor resets — training simply runs
+    /// longer under faults instead of stabilizing on missing data — and no
+    /// marks are applied. New cookies still register (and reactivate a
+    /// dormant site), exactly as in [`observe`](Self::observe).
+    ///
+    /// Returns whether training is active after the update.
+    pub fn defer(&mut self, cookie_names: impl IntoIterator<Item = impl AsRef<str>>) -> bool {
+        let new_cookie = self.learn(cookie_names);
+        if new_cookie && !self.active {
+            self.active = true;
+        }
+        if !self.active {
+            return false;
+        }
+        self.pages_seen += 1;
+        self.hidden_requests += 1;
+        self.deferrals += 1;
+        if new_cookie {
+            self.stable_streak = 0;
+        }
+        self.active
+    }
 }
 
-/// Training state across all sites.
+/// Where a [`ForcumState`] keeps its per-site records.
+pub trait SiteRecords: Default {
+    /// The record for `host`, if the site has been seen.
+    fn site(&self, host: &str) -> Option<&SiteTraining>;
+    /// The record for `host`, created fresh (training on) on first contact.
+    fn site_mut(&mut self, host: &str) -> &mut SiteTraining;
+}
+
+/// Any number of sites, by host: a browser trains every site it visits.
+impl SiteRecords for HashMap<String, SiteTraining> {
+    fn site(&self, host: &str) -> Option<&SiteTraining> {
+        self.get(host)
+    }
+
+    fn site_mut(&mut self, host: &str) -> &mut SiteTraining {
+        if !self.contains_key(host) {
+            self.insert(host.to_string(), SiteTraining::fresh());
+        }
+        self.get_mut(host).expect("inserted above")
+    }
+}
+
+/// One site, named by the state's owner — a training store keeps one
+/// state per host under that host's key — so the host is neither stored
+/// nor compared.
+impl SiteRecords for Option<SiteTraining> {
+    fn site(&self, _host: &str) -> Option<&SiteTraining> {
+        self.as_ref()
+    }
+
+    fn site_mut(&mut self, _host: &str) -> &mut SiteTraining {
+        self.get_or_insert_with(SiteTraining::fresh)
+    }
+}
+
+/// FORCUM training state: per-site records and the stability window. The
+/// rules live on [`SiteTraining`]; this type finds the record they apply to.
 #[derive(Debug, Clone, Default)]
-pub struct ForcumState {
-    /// The first site trained, held inline: a training store keeps one
-    /// state per host, and a map of one site would allocate a table of
-    /// four slots for it.
-    first: Option<(String, SiteTraining)>,
-    /// Every other site.
-    more: HashMap<String, SiteTraining>,
+pub struct ForcumState<S = HashMap<String, SiteTraining>> {
+    sites: S,
     /// Stability window: page views without change before training stops.
     pub stability_window: usize,
 }
 
-impl ToJson for SiteTraining {
-    fn to_json(&self) -> Json {
-        // Sets serialize sorted so the encoding is deterministic.
-        let known = self.known_cookies_sorted();
-        Json::object()
-            .set("pages_seen", self.pages_seen)
-            .set("stable_streak", self.stable_streak)
-            .set("active", self.active)
-            .set("known_cookies", known.into_iter().map(Json::from).collect::<Vec<_>>())
-            .set("hidden_requests", self.hidden_requests)
-            .set("marks", self.marks)
-            .set("deferrals", self.deferrals)
-    }
-}
-
-impl ToJson for ForcumState {
-    fn to_json(&self) -> Json {
-        let sites = self
-            .sites()
-            .fold(Json::object(), |acc, (host, site)| acc.set(host.clone(), site.to_json()));
-        Json::object().set("sites", sites).set("stability_window", self.stability_window)
-    }
-}
-
-impl ForcumState {
+impl<S: SiteRecords> ForcumState<S> {
     /// Creates a state with the given stability window.
     pub fn new(stability_window: usize) -> Self {
-        ForcumState { first: None, more: HashMap::new(), stability_window }
-    }
-
-    /// Every site's training record, in no particular order.
-    fn sites(&self) -> impl Iterator<Item = (&String, &SiteTraining)> {
-        self.first.iter().map(|(host, site)| (host, site)).chain(&self.more)
+        ForcumState { sites: S::default(), stability_window }
     }
 
     /// The training record for `host`, if the site has been seen.
     pub fn site(&self, host: &str) -> Option<&SiteTraining> {
-        match &self.first {
-            Some((first, site)) if first == host => Some(site),
-            _ => self.more.get(host),
-        }
-    }
-
-    /// The training record for `host`, created fresh on first contact.
-    fn site_mut(&mut self, host: &str) -> &mut SiteTraining {
-        let (first, site) =
-            self.first.get_or_insert_with(|| (host.to_string(), SiteTraining::fresh()));
-        if first == host {
-            return site;
-        }
-        self.more.entry(host.to_string()).or_insert_with(SiteTraining::fresh)
+        self.sites.site(host)
     }
 
     /// Installs a persisted training record for `host` (snapshot restore).
     pub fn insert_site(&mut self, host: &str, site: SiteTraining) {
-        *self.site_mut(host) = site;
+        *self.sites.site_mut(host) = site;
     }
 
     /// Whether FORCUM is currently active for `host` (a never-seen host is
@@ -154,77 +205,31 @@ impl ForcumState {
         self.site(host).is_none_or(|s| s.active)
     }
 
-    /// Manually (re)starts training for a site — the paper's "turned on …
-    /// manually by a user if she wants to continue the training process".
+    /// Manually (re)starts training for a site; see [`SiteTraining::restart`].
     pub fn restart(&mut self, host: &str) {
-        let site = self.site_mut(host);
-        site.active = true;
-        site.stable_streak = 0;
+        self.sites.site_mut(host).restart();
     }
 
-    /// Records a page view on `host`. `cookie_names` are the cookies
-    /// observed in this view (request + response); `marked` is whether this
-    /// view produced new useful marks; `hidden_issued` whether a hidden
-    /// request was sent.
-    ///
-    /// Returns whether training is active *after* the update.
+    /// Records a page view on `host`; see [`SiteTraining::observe`].
     pub fn observe(
         &mut self,
         host: &str,
-        cookie_names: impl IntoIterator<Item = String>,
+        cookie_names: impl IntoIterator<Item = impl AsRef<str>>,
         marked: usize,
         hidden_issued: bool,
     ) -> bool {
         let window = self.stability_window;
-        let site = self.site_mut(host);
-        let new_cookie = site.learn(cookie_names);
-        // New cookies re-activate a dormant site (§3.2, step 5).
-        if new_cookie && !site.active {
-            site.active = true;
-            site.stable_streak = 0;
-        }
-        if !site.active {
-            return false;
-        }
-
-        site.pages_seen += 1;
-        site.hidden_requests += usize::from(hidden_issued);
-        site.marks += marked;
-        if new_cookie || marked > 0 {
-            site.stable_streak = 0;
-        } else {
-            site.stable_streak += 1;
-            if site.stable_streak >= window {
-                site.active = false;
-            }
-        }
-        site.active
+        self.sites.site_mut(host).observe(window, cookie_names, marked, hidden_issued)
     }
 
-    /// Records a page view on `host` whose hidden probe was *inconclusive*
-    /// (failed or suspect fetch). The view is evidence of nothing, so the
-    /// stability streak neither advances nor resets — training simply runs
-    /// longer under faults instead of stabilizing on missing data — and no
-    /// marks are applied. New cookies still register (and reactivate a
-    /// dormant site), exactly as in [`observe`](Self::observe).
-    ///
-    /// Returns whether training is active after the update.
-    pub fn defer(&mut self, host: &str, cookie_names: impl IntoIterator<Item = String>) -> bool {
-        let site = self.site_mut(host);
-        let new_cookie = site.learn(cookie_names);
-        if new_cookie && !site.active {
-            site.active = true;
-        }
-        if !site.active {
-            return false;
-        }
-        site.pages_seen += 1;
-        site.hidden_requests += 1;
-        site.deferrals += 1;
-        if new_cookie {
-            site.stable_streak = 0;
-        }
-        site.active
+    /// Records an inconclusive page view on `host`; see
+    /// [`SiteTraining::defer`].
+    pub fn defer(
+        &mut self,
+        host: &str,
+        cookie_names: impl IntoIterator<Item = impl AsRef<str>>,
+    ) -> bool {
+        self.sites.site_mut(host).defer(cookie_names)
     }
 }
 
@@ -236,15 +241,19 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    fn state(window: usize) -> ForcumState {
+        ForcumState::new(window)
+    }
+
     #[test]
     fn unseen_site_is_active() {
-        let state = ForcumState::new(5);
+        let state = state(5);
         assert!(state.is_active("new.example"));
     }
 
     #[test]
     fn stabilizes_after_window() {
-        let mut state = ForcumState::new(3);
+        let mut state = state(3);
         state.observe("a.example", names(&["x"]), 0, true);
         assert!(state.is_active("a.example"));
         // Three quiet views → off. (First view after the cookie is quiet #1.)
@@ -256,7 +265,7 @@ mod tests {
 
     #[test]
     fn marks_reset_streak() {
-        let mut state = ForcumState::new(2);
+        let mut state = state(2);
         state.observe("a.example", names(&["x"]), 0, true);
         state.observe("a.example", names(&["x"]), 1, true); // mark → reset
         state.observe("a.example", names(&["x"]), 0, true);
@@ -267,7 +276,7 @@ mod tests {
 
     #[test]
     fn new_cookie_reactivates() {
-        let mut state = ForcumState::new(1);
+        let mut state = state(1);
         state.observe("a.example", names(&["x"]), 0, true);
         state.observe("a.example", names(&["x"]), 0, true);
         assert!(!state.is_active("a.example"));
@@ -278,7 +287,7 @@ mod tests {
 
     #[test]
     fn manual_restart() {
-        let mut state = ForcumState::new(1);
+        let mut state = state(1);
         state.observe("a.example", names(&["x"]), 0, true);
         state.observe("a.example", names(&["x"]), 0, true);
         assert!(!state.is_active("a.example"));
@@ -288,7 +297,7 @@ mod tests {
 
     #[test]
     fn sites_independent() {
-        let mut state = ForcumState::new(1);
+        let mut state = state(1);
         state.observe("a.example", names(&["x"]), 0, true);
         state.observe("a.example", names(&["x"]), 0, true);
         assert!(!state.is_active("a.example"));
@@ -297,7 +306,7 @@ mod tests {
 
     #[test]
     fn many_sites_keep_separate_records() {
-        let mut state = ForcumState::new(2);
+        let mut state = state(2);
         for round in 0..3 {
             for (i, host) in ["a.example", "b.example", "c.example"].into_iter().enumerate() {
                 // Each site sees its own cookies, in varying order.
@@ -327,7 +336,7 @@ mod tests {
 
     #[test]
     fn defer_freezes_the_streak() {
-        let mut state = ForcumState::new(2);
+        let mut state = state(2);
         state.observe("a.example", names(&["x"]), 0, true);
         let streak_before = state.site("a.example").unwrap().stable_streak;
         // Any number of deferrals: the streak must not move either way.
@@ -343,7 +352,7 @@ mod tests {
 
     #[test]
     fn defer_still_registers_new_cookies() {
-        let mut state = ForcumState::new(1);
+        let mut state = state(1);
         state.observe("a.example", names(&["x"]), 0, true);
         state.observe("a.example", names(&["x"]), 0, true);
         assert!(!state.is_active("a.example"));
@@ -358,7 +367,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut state = ForcumState::new(10);
+        let mut state = state(10);
         state.observe("a.example", names(&["x", "y"]), 2, true);
         state.observe("a.example", names(&[]), 0, false);
         let site = state.site("a.example").unwrap();

@@ -63,6 +63,7 @@ pub mod decision;
 pub mod domview;
 pub mod explain;
 pub mod forcum;
+pub mod names;
 pub mod picker;
 pub mod probe;
 pub mod recovery;
@@ -78,7 +79,8 @@ pub use cvce::{
 pub use decision::{decide, decide_analyzed, decide_reference, Decision};
 pub use domview::{DomTreeView, IdAwareDomView};
 pub use explain::{explain, DiffReport};
-pub use forcum::{ForcumState, SiteTraining};
+pub use forcum::{ForcumState, SiteRecords, SiteTraining};
+pub use names::NameSet;
 pub use picker::{CookiePicker, DetectionRecord, InconclusiveProbe, TrainingSummary};
 pub use probe::{InconclusiveReason, ProbeOutcome, ProbeReport, RetryPolicy};
 pub use recovery::RecoveryLog;

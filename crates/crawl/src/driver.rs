@@ -165,7 +165,7 @@ impl VisitDriver for InProcessDriver {
                 // Only cookies still marked expire; the event goes through
                 // the same WAL-then-apply path as every other mutation.
                 let expired: Vec<String> =
-                    cookies.iter().filter(|c| entry.marked.contains(*c)).cloned().collect();
+                    cookies.iter().filter(|c| entry.marked.contains(c)).cloned().collect();
                 if expired.is_empty() {
                     (None, 0)
                 } else {
@@ -339,7 +339,7 @@ mod tests {
         assert_eq!(d.expire(&host, &["nope".to_string()]), ExpireResult::Expired(0));
         // Force a mark into the store, then expire it through the driver.
         d.store().with_entry(&host, |e| {
-            e.marked.insert("sid".to_string());
+            e.marked.insert("sid");
         });
         assert_eq!(d.expire(&host, &["sid".to_string()]), ExpireResult::Expired(1));
         assert!(d.marks().is_empty());

@@ -600,7 +600,7 @@ fn expire(shared: &Shared, body: &[u8]) -> Routed {
         host,
         |entry| {
             let expired: Vec<String> =
-                cookies.iter().filter(|c| entry.marked.contains(*c)).cloned().collect();
+                cookies.iter().filter(|c| entry.marked.contains(c)).cloned().collect();
             if expired.is_empty() {
                 (None, 0usize)
             } else {
@@ -708,9 +708,9 @@ fn sites_list(shared: &Shared, query: Option<&str>) -> Routed {
     json(Endpoint::Sites, 200, body)
 }
 
-/// `GET /v1/sites/{host}`: the training summary for a visited site, read
-/// lock-free from the store's seqlock mirror — the hot path never touches
-/// a shard lock.
+/// `GET /v1/sites/{host}`: the training summary for a visited site. The
+/// store answers it under its map lock's read side alone, so it never
+/// waits behind a visit's WAL append or replication ship.
 fn site_summary(shared: &Shared, host: &str) -> Routed {
     match shared.store.summary(host) {
         Some(summary) => json(Endpoint::Sites, 200, summary.to_json().to_compact().into_bytes()),
@@ -933,7 +933,7 @@ mod tests {
         let body = br#"{"host":"news1.example","path":"/"}"#;
         assert_eq!(request(server.addr(), "POST", "/v1/visit", body).status, 200);
         server.shared.store.with_entry("news1.example", |e| {
-            e.marked.insert("sid".to_string());
+            e.marked.insert("sid");
         });
         let resp = request(
             server.addr(),

@@ -16,6 +16,7 @@
 //! sorted by host, trailing `u64` FNV-1a checksum over everything before
 //! it.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -55,11 +56,15 @@ pub struct SnapshotContents {
 /// `GET /v1/repl/snapshot` (the bootstrap transfer reuses the exact
 /// on-disk image: magic, generation, covered count, sorted entries,
 /// trailing checksum).
-pub(crate) fn encode_snapshot_bytes(
-    entries: &HashMap<String, SiteEntry>,
+pub(crate) fn encode_snapshot_bytes<'a, H, E>(
+    entries: impl IntoIterator<Item = (&'a H, &'a E)>,
     wal_generation: u64,
     wal_covered: u64,
-) -> Vec<u8> {
+) -> Vec<u8>
+where
+    H: AsRef<str> + ?Sized + 'a,
+    E: Borrow<SiteEntry> + 'a,
+{
     encode(entries, wal_generation, wal_covered)
 }
 
@@ -71,19 +76,28 @@ pub(crate) fn decode_snapshot_bytes(
     decode(bytes, stability_window)
 }
 
-fn encode(entries: &HashMap<String, SiteEntry>, wal_generation: u64, wal_covered: u64) -> Vec<u8> {
-    let mut hosts: Vec<&String> = entries.keys().collect();
-    hosts.sort_unstable();
+/// Encodes host → entry pairs, given in any order, from whatever map
+/// holds them (a shard's boxed entries, a decoded snapshot's).
+fn encode<'a, H, E>(
+    entries: impl IntoIterator<Item = (&'a H, &'a E)>,
+    wal_generation: u64,
+    wal_covered: u64,
+) -> Vec<u8>
+where
+    H: AsRef<str> + ?Sized + 'a,
+    E: Borrow<SiteEntry> + 'a,
+{
+    let mut entries: Vec<(&str, &SiteEntry)> =
+        entries.into_iter().map(|(host, entry)| (host.as_ref(), entry.borrow())).collect();
+    entries.sort_unstable_by_key(|&(host, _)| host);
     let mut out = Vec::with_capacity(256);
     out.extend_from_slice(MAGIC);
     put_u64(&mut out, wal_generation);
     put_u64(&mut out, wal_covered);
-    put_u32(&mut out, hosts.len() as u32);
-    for host in hosts {
-        let entry = &entries[host];
+    put_u32(&mut out, entries.len() as u32);
+    for (host, entry) in entries {
         put_str(&mut out, host);
-        let marked: Vec<&str> = entry.marked.iter().map(String::as_str).collect();
-        put_strs(&mut out, &marked);
+        put_strs(&mut out, &entry.marked.iter().collect::<Vec<_>>());
         put_u64(&mut out, entry.probes as u64);
         put_u64(&mut out, entry.marking_probes as u64);
         put_u64(&mut out, entry.deferred_probes as u64);
@@ -174,16 +188,20 @@ fn decode(bytes: &[u8], stability_window: usize) -> Option<SnapshotContents> {
 /// Writes shard `shard`'s entries as an atomic snapshot covering the
 /// first `wal_covered` records of WAL generation `wal_generation`.
 #[allow(clippy::too_many_arguments)] // one checkpoint's worth of context
-pub fn write_snapshot(
+pub fn write_snapshot<'a, H, E>(
     dir: &Path,
     shard: usize,
-    entries: &HashMap<String, SiteEntry>,
+    entries: impl IntoIterator<Item = (&'a H, &'a E)>,
     wal_generation: u64,
     wal_covered: u64,
     faults: Option<StorageFaults>,
     tag: u64,
     metrics: &Arc<ServiceMetrics>,
-) -> std::io::Result<()> {
+) -> std::io::Result<()>
+where
+    H: AsRef<str> + ?Sized + 'a,
+    E: Borrow<SiteEntry> + 'a,
+{
     let encoded = encode(entries, wal_generation, wal_covered);
     let tmp = tmp_path(dir, shard);
     let mut last_err = None;
@@ -251,7 +269,7 @@ pub fn load_snapshot(
 mod tests {
     use super::*;
     use crate::storage::StorageFaults;
-    use std::collections::BTreeSet;
+    use cookiepicker_core::NameSet;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cp-snap-{}-{name}", std::process::id()));
@@ -268,7 +286,7 @@ mod tests {
             "a.example".to_string(),
             SiteEntry {
                 forcum,
-                marked: BTreeSet::from(["theme".to_string()]),
+                marked: NameSet::from_iter(["theme".to_string()]),
                 probes: 3,
                 marking_probes: 1,
                 deferred_probes: 1,
@@ -283,7 +301,7 @@ mod tests {
             "b.example".to_string(),
             SiteEntry {
                 forcum: dormant,
-                marked: BTreeSet::new(),
+                marked: NameSet::default(),
                 probes: 2,
                 marking_probes: 0,
                 deferred_probes: 0,
@@ -333,7 +351,8 @@ mod tests {
         assert_eq!(loaded.wal_covered, 17);
         // Absent shard → None; empty shard round-trips too.
         assert!(load_snapshot(&dir, 7, 5).unwrap().is_none());
-        write_snapshot(&dir, 1, &HashMap::new(), 1, 0, None, 0, &metrics).unwrap();
+        write_snapshot(&dir, 1, &HashMap::<String, SiteEntry>::new(), 1, 0, None, 0, &metrics)
+            .unwrap();
         assert_eq!(load_snapshot(&dir, 1, 5).unwrap().unwrap().entries.len(), 0);
     }
 

@@ -1,10 +1,22 @@
 //! The sharded training store, optionally crash-safe.
 //!
-//! Per-site FORCUM training state lives in `N` shards, each an
-//! `RwLock<HashMap<host, SiteEntry>>`; a host hashes to exactly one shard,
-//! so concurrent visits to *different* sites never contend on a lock, and
-//! visits to the *same* site serialize only with each other. Reads
-//! (`GET /v1/sites/{host}`, summaries) take the shard's read lock.
+//! Per-site FORCUM training state lives in `N` shards; a host hashes to
+//! exactly one shard (FNV-1a), so visits to different sites rarely share
+//! a lock. Each shard is one map from host to a boxed [`SiteEntry`],
+//! behind two locks:
+//!
+//! - the *writer* lock serializes the shard's mutations end to end: a
+//!   [`transact`](ShardedStore::transact) holds it from plan through WAL
+//!   append, apply and replication ship;
+//! - the *map* lock guards the entries. Only the writer-lock holder ever
+//!   takes its write side, and only to insert a host or apply one event.
+//!
+//! Reads ([`summary`](ShardedStore::summary),
+//! [`read_entry`](ShardedStore::read_entry)) take the map lock's read
+//! side alone. Its write side is never held across a WAL append, an fsync
+//! or a ship, so a read waits at most for one in-memory apply, never
+//! behind the journal; and a read guard the writer holds blocks no other
+//! reader. See `DESIGN.md` §14.
 //!
 //! With a [`DurabilityConfig`], every mutation is a [`VisitEvent`] that
 //! goes through [`transact`](ShardedStore::transact): the event is
@@ -15,22 +27,15 @@
 //! by loading each shard's snapshot and replaying the WAL records the
 //! snapshot does not already cover.
 //!
-//! Lock order is always shard → WAL; both `transact` and
-//! [`checkpoint`](ShardedStore::checkpoint) follow it.
-//!
-//! Hot-path reads bypass the shard locks entirely: every entry mutation
-//! also publishes the summary-relevant fields into a per-host
-//! [`SummaryCell`] — a seqlock — so [`summary`](ShardedStore::summary)
-//! never waits behind a `transact` holding the shard write lock across a
-//! WAL fsync. See `DESIGN.md` §14 for the protocol.
+//! Lock order is writer → map → WAL.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cookiepicker_core::{ForcumState, TrainingSummary};
+use cookiepicker_core::{ForcumState, NameSet, SiteTraining, TrainingSummary};
 use cp_runtime::sync::{Mutex, RwLock};
 
 use crate::metrics::ServiceMetrics;
@@ -45,10 +50,11 @@ use crate::wal::{read_log, wal_path, EventKind, FsyncPolicy, VisitEvent, Wal};
 /// backing [`TrainingSummary`].
 #[derive(Debug, Clone, Default)]
 pub struct SiteEntry {
-    /// FORCUM training state (keyed internally by this site's host).
-    pub forcum: ForcumState,
+    /// FORCUM training state of this entry's site, which the store key
+    /// names (so the state does not hold the host again).
+    pub forcum: ForcumState<Option<SiteTraining>>,
     /// Cookie names marked useful so far.
-    pub marked: BTreeSet<String>,
+    pub marked: NameSet,
     /// Hidden-request probes issued (decided + deferred).
     pub probes: usize,
     /// Probes whose decision attributed the difference to cookies.
@@ -68,27 +74,28 @@ impl SiteEntry {
 
     /// Applies one event to this entry — the single mutation path, shared
     /// by the live visit handler and WAL replay, so a replayed entry is
-    /// bit-identical to the entry the events originally built.
+    /// bit-identical to the entry the events originally built. Allocates
+    /// only for a cookie name the entry has not seen.
     ///
     /// Returns the cookie names newly marked useful.
     pub fn apply(&mut self, event: &VisitEvent) -> Vec<String> {
         let host = event.host.as_str();
         match &event.kind {
             EventKind::Observe => {
-                self.forcum.observe(host, event.observed.iter().cloned(), 0, false);
+                self.forcum.observe(host, &event.observed, 0, false);
                 Vec::new()
             }
             EventKind::Defer => {
                 self.probes += 1;
                 self.deferred_probes += 1;
-                self.forcum.defer(host, event.observed.iter().cloned());
+                self.forcum.defer(host, &event.observed);
                 Vec::new()
             }
             EventKind::Probe { group, marking, detection_micros, duration_ms } => {
                 let mut marked_now = Vec::new();
                 if *marking {
                     for name in group {
-                        if self.marked.insert(name.clone()) {
+                        if self.marked.insert(name) {
                             marked_now.push(name.clone());
                         }
                     }
@@ -97,7 +104,7 @@ impl SiteEntry {
                 self.marking_probes += usize::from(*marking);
                 self.detection_micros_total += detection_micros;
                 self.duration_ms_total += duration_ms;
-                self.forcum.observe(host, event.observed.iter().cloned(), marked_now.len(), true);
+                self.forcum.observe(host, &event.observed, marked_now.len(), true);
                 marked_now
             }
             EventKind::Expire => {
@@ -132,79 +139,16 @@ impl SiteEntry {
     }
 }
 
-/// The summary-relevant fields of one [`SiteEntry`], published through a
-/// seqlock so readers never block behind the shard write lock.
-///
-/// Writers are already serialized per host (they hold the entries shard's
-/// write lock), so the cell needs no writer mutex. The protocol is the
-/// classic sequence-counter one: a writer bumps `seq` to odd, releases a
-/// fence, stores the fields relaxed, then stores `seq` even with release;
-/// a reader acquires `seq` (retrying while odd), loads the fields relaxed,
-/// acquires a fence, and re-checks `seq` — a changed counter means the
-/// loads raced a writer and the read retries. Readers therefore never see
-/// a torn mix of two publishes.
+/// One shard's entries: host → boxed entry, so the table's spare buckets
+/// cost a key and a pointer, not a whole entry.
+type Entries = HashMap<Box<str>, Box<SiteEntry>>;
+
+/// One shard: its entries and the lock that serializes its writers (see
+/// the module docs).
 #[derive(Debug, Default)]
-pub struct SummaryCell {
-    seq: AtomicU64,
-    probes: AtomicU64,
-    marking_probes: AtomicU64,
-    deferred_probes: AtomicU64,
-    detection_micros_total: AtomicU64,
-    /// `f64::to_bits` of the duration sum (atomics carry no floats).
-    duration_ms_bits: AtomicU64,
-    /// 1 while FORCUM training is active for the host.
-    active: AtomicU64,
-}
-
-/// One coherent read of a [`SummaryCell`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SummarySnapshot {
-    probes: u64,
-    marking_probes: u64,
-    deferred_probes: u64,
-    detection_micros_total: u64,
-    duration_ms_total: f64,
-    active: bool,
-}
-
-impl SummaryCell {
-    /// Publishes `entry`'s current summary fields. Caller must hold the
-    /// entries shard's write lock (which serializes writers per host).
-    fn publish(&self, host: &str, entry: &SiteEntry) {
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        self.probes.store(entry.probes as u64, Ordering::Relaxed);
-        self.marking_probes.store(entry.marking_probes as u64, Ordering::Relaxed);
-        self.deferred_probes.store(entry.deferred_probes as u64, Ordering::Relaxed);
-        self.detection_micros_total.store(entry.detection_micros_total, Ordering::Relaxed);
-        self.duration_ms_bits.store(entry.duration_ms_total.to_bits(), Ordering::Relaxed);
-        self.active.store(u64::from(entry.forcum.is_active(host)), Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
-    }
-
-    /// Reads one coherent snapshot, spinning while a publish is in flight.
-    fn read(&self) -> SummarySnapshot {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = SummarySnapshot {
-                probes: self.probes.load(Ordering::Relaxed),
-                marking_probes: self.marking_probes.load(Ordering::Relaxed),
-                deferred_probes: self.deferred_probes.load(Ordering::Relaxed),
-                detection_micros_total: self.detection_micros_total.load(Ordering::Relaxed),
-                duration_ms_total: f64::from_bits(self.duration_ms_bits.load(Ordering::Relaxed)),
-                active: self.active.load(Ordering::Relaxed) != 0,
-            };
-            fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == s1 {
-                return snap;
-            }
-        }
-    }
+struct Shard {
+    writer: Mutex<()>,
+    entries: RwLock<Entries>,
 }
 
 /// How a store persists itself.
@@ -266,17 +210,12 @@ impl Durable {
     /// (graceful shutdown wants the log durable even if the snapshot
     /// write fails).
     ///
-    /// Caller holds the shard lock; this takes the WAL lock (shard → WAL
-    /// order). Crash-safety of the sequence: the snapshot names the exact
-    /// `(generation, records)` prefix it folds in, so a crash (or a
-    /// failure) anywhere between the snapshot rename and the WAL reset
-    /// replays nothing twice and loses nothing.
-    fn checkpoint_shard(
-        &self,
-        idx: usize,
-        entries: &HashMap<String, SiteEntry>,
-        flush: bool,
-    ) -> std::io::Result<()> {
+    /// Caller holds the shard's writer lock and a read guard on its
+    /// entries; this takes the WAL lock. Crash-safety of the sequence: the
+    /// snapshot names the exact `(generation, records)` prefix it folds
+    /// in, so a crash (or a failure) anywhere between the snapshot rename
+    /// and the WAL reset replays nothing twice and loses nothing.
+    fn checkpoint_shard(&self, idx: usize, entries: &Entries, flush: bool) -> std::io::Result<()> {
         let mut wal = self.wals[idx].lock();
         if flush {
             wal.sync()?;
@@ -298,7 +237,8 @@ impl Durable {
     /// the configured interval. Errors are absorbed into
     /// `cp_snapshot_total{result="error"}` — a failed checkpoint costs
     /// nothing but WAL length, so the visit itself still succeeds.
-    fn maybe_checkpoint(&self, idx: usize, entries: &HashMap<String, SiteEntry>) {
+    /// Caller holds the shard's writer lock.
+    fn maybe_checkpoint(&self, idx: usize, shard: &Shard) {
         let since = self.since_snapshot[idx].fetch_add(1, Ordering::Relaxed) + 1;
         if since < self.config.snapshot_every {
             return;
@@ -307,7 +247,7 @@ impl Durable {
         // every subsequent event would turn one bad disk into a write
         // storm. The next interval will try again.
         self.since_snapshot[idx].store(0, Ordering::Relaxed);
-        let ok = self.checkpoint_shard(idx, entries, false).is_ok();
+        let ok = self.checkpoint_shard(idx, &shard.entries.read(), false).is_ok();
         self.metrics.snapshot.inc(if ok { "ok" } else { "error" });
     }
 }
@@ -326,12 +266,7 @@ fn snapshot_fault_tag(idx: usize) -> u64 {
 /// A host-sharded map of [`SiteEntry`]s.
 #[derive(Debug)]
 pub struct ShardedStore {
-    shards: Vec<RwLock<HashMap<String, SiteEntry>>>,
-    /// Per-shard seqlock'd summary mirrors. The map lock is held only for
-    /// the O(1) `Arc` lookup/insert — never across a WAL write or an
-    /// entry mutation — so [`summary`](Self::summary) stays wait-free
-    /// with respect to `transact`.
-    mirrors: Vec<RwLock<HashMap<String, Arc<SummaryCell>>>>,
+    shards: Vec<Shard>,
     /// Sites with state, maintained at entry creation so
     /// [`site_count`](Self::site_count) never sweeps the shard locks.
     sites: AtomicUsize,
@@ -356,10 +291,8 @@ impl ShardedStore {
     /// Creates a purely in-memory store with `shards` shards (rounded up
     /// to at least 1).
     pub fn new(shards: usize, stability_window: usize) -> Self {
-        let shards = shards.max(1);
         ShardedStore {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            mirrors: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
             sites: AtomicUsize::new(0),
             applied: AtomicU64::new(0),
             repl: RwLock::new(None),
@@ -423,23 +356,13 @@ impl ShardedStore {
                     ));
                 }
             }
-            {
-                let mut shard = store.shards[idx].write();
-                *shard = entries;
-                for event in &contents.events[skip..] {
-                    let entry = shard
-                        .entry(event.host.clone())
-                        .or_insert_with(|| SiteEntry::new(stability_window));
-                    entry.apply(event);
-                    stats.records_replayed += 1;
-                }
-                // Seed the summary mirror with the recovered state so
-                // lock-free reads see it before the first live mutation.
-                let mut mirrors = store.mirrors[idx].write();
-                for (host, entry) in shard.iter() {
-                    mirrors.entry(host.clone()).or_default().publish(host, entry);
-                }
-                store.sites.fetch_add(shard.len(), Ordering::Relaxed);
+            let shard = &store.shards[idx];
+            store.sites.fetch_add(entries.len(), Ordering::Relaxed);
+            *shard.entries.write() =
+                entries.into_iter().map(|(host, e)| (host.into_boxed_str(), Box::new(e))).collect();
+            for event in &contents.events[skip..] {
+                store.update(shard, &event.host, |entry| entry.apply(event));
+                stats.records_replayed += 1;
             }
             let wal = Wal::open(
                 &path,
@@ -474,12 +397,12 @@ impl ShardedStore {
     }
 
     /// Runs one durable mutation against `host`'s entry, creating the
-    /// entry on first contact. Only `host`'s shard is locked, for the
-    /// whole sequence:
+    /// entry on first contact. Only `host`'s shard is locked, and its
+    /// writers serialize for the whole sequence:
     ///
     /// 1. `plan` inspects the entry and produces the [`VisitEvent`] to
     ///    apply (or `None` for a read-only visit) plus whatever context
-    ///    `finish` needs;
+    ///    `finish` needs; readers of the shard proceed meanwhile;
     /// 2. the event is appended to the shard's WAL — **the ack barrier**:
     ///    an `Err` here aborts the visit before any state changes;
     /// 3. the event is applied to the entry;
@@ -496,37 +419,47 @@ impl ShardedStore {
         finish: impl FnOnce(&SiteEntry, Vec<String>, P) -> R,
     ) -> std::io::Result<R> {
         let idx = self.shard_of(host);
-        let mut shard = self.shards[idx].write();
-        if !shard.contains_key(host) {
-            self.sites.fetch_add(1, Ordering::Relaxed);
-        }
-        let entry =
-            shard.entry(host.to_string()).or_insert_with(|| SiteEntry::new(self.stability_window));
-        let (event, context) = plan(entry);
+        let shard = &self.shards[idx];
+        let _writer = shard.writer.lock();
+        // A first contact plans against a fresh entry, inserted only when
+        // the event applies: a write that fails to journal leaves no host.
+        let (event, context) = {
+            let entries = shard.entries.read();
+            match entries.get(host) {
+                Some(entry) => plan(entry),
+                None => {
+                    drop(entries);
+                    plan(&SiteEntry::new(self.stability_window))
+                }
+            }
+        };
         // The framed record, encoded at most once per event: journaled and
         // shipped from the same bytes. Standalone in-memory writes never
         // encode it.
         let mut record = None;
-        let marked_now = match &event {
-            Some(event) => {
-                debug_assert_eq!(event.host, host, "event host must match the locked entry");
-                if let Some(durable) = &self.durable {
-                    let frame = record.insert(event.encode_record());
-                    durable.wals[idx].lock().append_record(frame)?;
-                }
-                self.applied.fetch_add(1, Ordering::Release);
-                entry.apply(event)
+        if let Some(event) = &event {
+            debug_assert_eq!(event.host, host, "event host must match the locked entry");
+            if let Some(durable) = &self.durable {
+                let frame = record.insert(event.encode_record());
+                durable.wals[idx].lock().append_record(frame)?;
             }
-            None => Vec::new(),
-        };
-        let result = finish(entry, marked_now, context);
-        self.publish(idx, host, entry);
+        }
+        let result = self.update(shard, host, |entry| {
+            let marked_now = match &event {
+                Some(event) => {
+                    self.applied.fetch_add(1, Ordering::Release);
+                    entry.apply(event)
+                }
+                None => Vec::new(),
+            };
+            finish(entry, marked_now, context)
+        });
         if let Some(event) = &event {
             if let Some(durable) = &self.durable {
-                durable.maybe_checkpoint(idx, &shard);
+                durable.maybe_checkpoint(idx, shard);
             }
-            // Still under the shard lock: ships from different shards
-            // serialize on the replicator lock (shard → replicator order),
+            // Still under the writer lock: ships from different shards
+            // serialize on the replicator lock (writer → replicator order),
             // so every follower sees one global record order. The ship
             // itself appends the record to the backlog ring; standalone
             // writes advance the ring's sequence without the encoding
@@ -547,32 +480,28 @@ impl ShardedStore {
     /// Applies one replicated event — the follower-side twin of
     /// [`transact`](Self::transact): journal to the local WAL (followers
     /// keep their own logs), apply through the same `SiteEntry::apply`
-    /// path, publish the summary mirror, and checkpoint on the usual
-    /// interval. Never re-ships: followers hold no replicator.
+    /// path, and checkpoint on the usual interval. Never re-ships:
+    /// followers hold no replicator.
     ///
     /// `record` is the frame `event` arrived in: it is journaled and kept
     /// in the backlog as received, never re-encoded.
     pub fn apply_replicated(&self, event: &VisitEvent, record: Vec<u8>) -> std::io::Result<()> {
         let idx = self.shard_of(&event.host);
-        let mut shard = self.shards[idx].write();
-        if !shard.contains_key(&event.host) {
-            self.sites.fetch_add(1, Ordering::Relaxed);
-        }
-        let entry = shard
-            .entry(event.host.clone())
-            .or_insert_with(|| SiteEntry::new(self.stability_window));
+        let shard = &self.shards[idx];
+        let _writer = shard.writer.lock();
         if let Some(durable) = &self.durable {
             durable.wals[idx].lock().append_record(&record)?;
         }
-        self.applied.fetch_add(1, Ordering::Release);
-        entry.apply(event);
-        // Retain the record in the backlog ring (shard → backlog order):
+        self.update(shard, &event.host, |entry| {
+            self.applied.fetch_add(1, Ordering::Release);
+            entry.apply(event)
+        });
+        // Retain the record in the backlog ring (writer → backlog order):
         // if this follower is later promoted, it can replay these records
         // to peers that reconnect behind it.
         self.backlog.lock().push(Arc::new(record));
-        self.publish(idx, &event.host, entry);
         if let Some(durable) = &self.durable {
-            durable.maybe_checkpoint(idx, &shard);
+            durable.maybe_checkpoint(idx, shard);
         }
         Ok(())
     }
@@ -618,55 +547,42 @@ impl ShardedStore {
 
     /// Encodes the node's entire in-memory state as one snapshot blob for
     /// `GET /v1/repl/snapshot` — the bootstrap source for a follower too
-    /// far behind the backlog. All shard read locks are held together
-    /// while the entries are copied, so the blob is a consistent cut and
-    /// its embedded `wal_covered` equals the applied sequence it reflects
-    /// (no write can be mid-flight while every shard lock is held).
+    /// far behind the backlog. Every shard's writer lock is held while the
+    /// entries are encoded, straight from the maps, so the blob is a
+    /// consistent cut and its embedded `wal_covered` equals the applied
+    /// sequence it reflects (no write can be mid-flight).
     pub fn encode_bootstrap(&self, generation: u64) -> Vec<u8> {
-        let guards: Vec<_> = self.shards.iter().map(|shard| shard.read()).collect();
+        let _writers: Vec<_> = self.shards.iter().map(|shard| shard.writer.lock()).collect();
+        let maps: Vec<_> = self.shards.iter().map(|shard| shard.entries.read()).collect();
         let applied = self.applied.load(Ordering::Acquire);
-        let mut entries: HashMap<String, SiteEntry> = HashMap::new();
-        for guard in &guards {
-            for (host, entry) in guard.iter() {
-                entries.insert(host.clone(), entry.clone());
-            }
-        }
-        drop(guards);
-        encode_snapshot_bytes(&entries, generation, applied)
+        encode_snapshot_bytes(maps.iter().flat_map(|map| map.iter()), generation, applied)
     }
 
     /// Installs a bootstrap blob from [`Self::encode_bootstrap`]: replaces every
-    /// shard's entries, rebuilds the summary mirrors, re-anchors the
-    /// applied sequence and the backlog at the blob's cut, and (for
-    /// durable stores) checkpoints so a restart recovers the installed
-    /// state. Returns the new applied sequence.
+    /// shard's entries, re-anchors the applied sequence and the backlog at
+    /// the blob's cut, and (for durable stores) checkpoints so a restart
+    /// recovers the installed state. Returns the new applied sequence.
     pub fn install_bootstrap(&self, bytes: &[u8]) -> std::io::Result<u64> {
         let contents = decode_snapshot_bytes(bytes, self.stability_window).ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed bootstrap snapshot")
         })?;
-        let mut per_shard: Vec<HashMap<String, SiteEntry>> =
-            (0..self.shards.len()).map(|_| HashMap::new()).collect();
+        let mut per_shard: Vec<Entries> = (0..self.shards.len()).map(|_| Entries::new()).collect();
         for (host, entry) in contents.entries {
             let idx = self.shard_of(&host);
-            per_shard[idx].insert(host, entry);
+            per_shard[idx].insert(host.into_boxed_str(), Box::new(entry));
         }
         let mut total = 0usize;
         for (idx, entries) in per_shard.into_iter().enumerate() {
             total += entries.len();
-            let mut shard = self.shards[idx].write();
-            *shard = entries;
-            {
-                let mut mirrors = self.mirrors[idx].write();
-                mirrors.clear();
-                for (host, entry) in shard.iter() {
-                    mirrors.entry(host.clone()).or_default().publish(host, entry);
-                }
-            }
+            let shard = &self.shards[idx];
+            let _writer = shard.writer.lock();
+            // The replaced entries are freed after the write guard drops.
+            let _old = std::mem::replace(&mut *shard.entries.write(), entries);
             if let Some(durable) = &self.durable {
                 // Fold the installed state into the shard's snapshot and
                 // truncate its WAL — the old log belongs to a lineage this
                 // node just abandoned.
-                let ok = durable.checkpoint_shard(idx, &shard, false).is_ok();
+                let ok = durable.checkpoint_shard(idx, &shard.entries.read(), false).is_ok();
                 durable.metrics.snapshot.inc(if ok { "ok" } else { "error" });
                 durable.since_snapshot[idx].store(0, Ordering::Relaxed);
             }
@@ -677,43 +593,27 @@ impl ShardedStore {
         Ok(contents.wal_covered)
     }
 
-    /// Publishes `entry`'s summary fields into its seqlock mirror cell,
-    /// creating the cell on first contact. Caller holds the shard write
-    /// lock; the mirror-map lock is held only for the lookup/insert.
-    fn publish(&self, idx: usize, host: &str, entry: &SiteEntry) {
-        let cell = {
-            let mirrors = self.mirrors[idx].read();
-            mirrors.get(host).cloned()
-        };
-        let cell = cell.unwrap_or_else(|| {
-            let mut mirrors = self.mirrors[idx].write();
-            Arc::clone(mirrors.entry(host.to_string()).or_default())
-        });
-        cell.publish(host, entry);
+    /// Runs `f` on `host`'s entry under its shard's map write side,
+    /// creating (and counting) the entry on first contact — the only time
+    /// this allocates. Caller holds the shard's writer lock.
+    fn update<R>(&self, shard: &Shard, host: &str, f: impl FnOnce(&mut SiteEntry) -> R) -> R {
+        let mut entries = shard.entries.write();
+        if let Some(entry) = entries.get_mut(host) {
+            return f(entry);
+        }
+        let mut entry = Box::new(SiteEntry::new(self.stability_window));
+        let result = f(&mut entry);
+        entries.insert(host.into(), entry);
+        self.sites.fetch_add(1, Ordering::Relaxed);
+        result
     }
 
-    /// Builds `host`'s [`TrainingSummary`] from the seqlock mirror — the
-    /// hot-path read: it never touches the entries shard lock, so it
-    /// cannot wait behind a `transact` holding that lock across a WAL
-    /// append. Returns `None` for never-visited sites.
+    /// Builds `host`'s [`TrainingSummary`] — the hot-path read. It takes
+    /// only the map lock's read side, so it never waits behind a
+    /// `transact`'s WAL append or ship. Returns `None` for never-visited
+    /// sites.
     pub fn summary(&self, host: &str) -> Option<TrainingSummary> {
-        let idx = self.shard_of(host);
-        let cell = {
-            let mirrors = self.mirrors[idx].read();
-            mirrors.get(host).cloned()
-        }?;
-        let snap = cell.read();
-        let decided = snap.probes - snap.deferred_probes;
-        let denom = decided.max(1) as f64;
-        Some(TrainingSummary {
-            host: host.to_string(),
-            probes: snap.probes as usize,
-            marking_probes: snap.marking_probes as usize,
-            deferred_probes: snap.deferred_probes as usize,
-            avg_detection_ms: snap.detection_micros_total as f64 / 1_000.0 / denom,
-            avg_duration_ms: snap.duration_ms_total / denom,
-            training_active: snap.active,
-        })
+        self.read_entry(host, |entry| entry.summary(host))
     }
 
     /// Flushes every WAL and checkpoints every shard — the graceful
@@ -722,9 +622,9 @@ impl ShardedStore {
     pub fn checkpoint(&self) -> std::io::Result<()> {
         let Some(durable) = &self.durable else { return Ok(()) };
         let mut first_err = None;
-        for idx in 0..self.shards.len() {
-            let shard = self.shards[idx].read();
-            let result = durable.checkpoint_shard(idx, &shard, true);
+        for (idx, shard) in self.shards.iter().enumerate() {
+            let _writer = shard.writer.lock();
+            let result = durable.checkpoint_shard(idx, &shard.entries.read(), true);
             durable.metrics.snapshot.inc(if result.is_ok() { "ok" } else { "error" });
             if result.is_ok() {
                 durable.since_snapshot[idx].store(0, Ordering::Relaxed);
@@ -740,23 +640,16 @@ impl ShardedStore {
     /// are **not** journaled — durable stores must go through
     /// [`transact`](Self::transact).
     pub fn with_entry<R>(&self, host: &str, f: impl FnOnce(&mut SiteEntry) -> R) -> R {
-        let idx = self.shard_of(host);
-        let mut shard = self.shards[idx].write();
-        if !shard.contains_key(host) {
-            self.sites.fetch_add(1, Ordering::Relaxed);
-        }
-        let entry =
-            shard.entry(host.to_string()).or_insert_with(|| SiteEntry::new(self.stability_window));
-        let result = f(entry);
-        self.publish(idx, host, entry);
-        result
+        let shard = &self.shards[self.shard_of(host)];
+        let _writer = shard.writer.lock();
+        self.update(shard, host, f)
     }
 
     /// Runs `f` with shared access to `host`'s entry, or returns `None` if
-    /// the site has never been visited.
+    /// the site has never been visited. Like [`summary`](Self::summary),
+    /// it takes only the map lock's read side.
     pub fn read_entry<R>(&self, host: &str, f: impl FnOnce(&SiteEntry) -> R) -> Option<R> {
-        let shard = self.shards[self.shard_of(host)].read();
-        shard.get(host).map(f)
+        self.shards[self.shard_of(host)].entries.read().get(host).map(|entry| f(entry))
     }
 
     /// Total number of sites with state, across all shards. Maintained
@@ -770,8 +663,7 @@ impl ShardedStore {
     pub fn marks(&self) -> Vec<String> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.read();
-            for (host, entry) in shard.iter() {
+            for (host, entry) in shard.entries.read().iter() {
                 out.extend(entry.marked.iter().map(|name| format!("{host} {name}")));
             }
         }
@@ -918,7 +810,7 @@ mod tests {
             kind: EventKind::Expire,
         });
         assert!(marked_now.is_empty(), "expiry never marks");
-        assert_eq!(entry.marked.iter().cloned().collect::<Vec<_>>(), vec!["theme".to_string()]);
+        assert_eq!(entry.marked.iter().collect::<Vec<_>>(), ["theme"]);
         assert!(entry.forcum.is_active("s.example"), "expiry restarts training");
         // The expired cookie can be re-marked through the normal probe path.
         entry.apply(&probe_event("s.example", &["sid"], true, 1_000));
@@ -1157,11 +1049,11 @@ mod tests {
         assert!(lock_free.training_active);
     }
 
-    /// Readers hammer `summary()` while one writer publishes entries whose
+    /// Readers hammer `summary()` while one writer updates an entry whose
     /// fields are held in a fixed arithmetic relationship — any torn read
-    /// (a mix of two publishes) breaks the relationship and fails.
+    /// (a mix of two updates) breaks the relationship and fails.
     #[test]
-    fn seqlock_readers_never_observe_torn_entries() {
+    fn summary_readers_never_observe_torn_entries() {
         use cp_runtime::rng::{Rng, SeedableRng, StdRng};
 
         let store = Arc::new(ShardedStore::new(2, 3));
@@ -1213,17 +1105,17 @@ mod tests {
                 });
             }
         });
-        // Post-quiescence the mirror agrees with the locked entry exactly.
+        // Post-quiescence the summary agrees with the locked entry exactly.
         let lock_free = store.summary(host).unwrap();
         let locked = store.read_entry(host, |e| e.summary(host)).unwrap();
         assert_eq!(lock_free, locked);
     }
 
-    /// Replays one seeded event stream and checks every host's seqlock
-    /// summary equals the post-quiescence locked summary — the mirror
-    /// publishes exactly what the entries hold, event for event.
+    /// Replays one seeded event stream and checks every host's summary
+    /// equals the post-quiescence locked summary — summaries report
+    /// exactly what the entries hold, event for event.
     #[test]
-    fn seqlock_summaries_equal_locked_summaries_after_event_stream() {
+    fn summaries_equal_locked_summaries_after_event_stream() {
         use cp_runtime::rng::{Rng, SeedableRng, StdRng};
 
         let store = ShardedStore::new(8, 4);

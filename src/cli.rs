@@ -67,7 +67,8 @@ pub enum Command {
         workers: usize,
         /// Training-store shards.
         shards: usize,
-        /// Bounded accept-queue capacity.
+        /// Connections admitted beyond one per worker: at most `workers +
+        /// queue` are open at once, and the next is answered `503`.
         queue: usize,
         /// Per-connection read/write timeout, milliseconds.
         timeout_ms: u64,
