@@ -33,6 +33,21 @@ fn unknown_subcommand_exits_2() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 }
 
+/// USAGE, byte for byte: `help` prints exactly the fixture on stdout, and a
+/// parse error prints the error, a blank line and the fixture on stderr.
+#[test]
+fn usage_matches_the_fixture_byte_for_byte() {
+    let fixture = include_str!("fixtures/usage.txt");
+    let help = cookiepicker(&["help"]);
+    assert_eq!(String::from_utf8_lossy(&help.stdout), fixture);
+    let bad = cookiepicker(&["serve", "--not-a-flag"]);
+    assert_eq!(bad.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&bad.stderr),
+        format!("error: unknown flag --not-a-flag\n\n{fixture}\n")
+    );
+}
+
 #[test]
 fn help_exits_0_and_prints_usage_on_stdout() {
     let out = cookiepicker(&["help"]);
