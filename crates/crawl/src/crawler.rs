@@ -32,7 +32,7 @@ use crate::revisit::MarkAges;
 pub const TICK_MILLIS: u64 = 250;
 
 /// Crawl parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrawlConfig {
     /// Seed for the world (must match the server's in HTTP mode).
     pub seed: u64,

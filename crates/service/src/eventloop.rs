@@ -141,8 +141,7 @@ mod imp {
                     wake,
                     conn_count: Arc::clone(&conn_count),
                     max_conns,
-                    read_timeout: config.read_timeout,
-                    write_timeout: config.write_timeout,
+                    timeout: config.timeout,
                     limits: config.limits,
                     conns: HashMap::new(),
                     next_token: FIRST_CONN_TOKEN,
@@ -247,8 +246,7 @@ mod imp {
         wake: UnixStream,
         conn_count: Arc<AtomicUsize>,
         max_conns: usize,
-        read_timeout: Duration,
-        write_timeout: Duration,
+        timeout: Duration,
         limits: Limits,
         conns: HashMap<u64, Conn>,
         next_token: u64,
@@ -261,7 +259,7 @@ mod imp {
             let mut events: Vec<PollEvent> = Vec::new();
             loop {
                 events.clear();
-                let timeout = TICK.min(self.read_timeout);
+                let timeout = TICK.min(self.timeout);
                 let _ = self.poller.wait(&mut events, Some(timeout));
                 self.handler.metrics().event_loop_wakeups.inc();
                 let ready = events.iter().filter(|ev| ev.token >= FIRST_CONN_TOKEN).count();
@@ -390,12 +388,12 @@ mod imp {
         /// Over-capacity admission: answer `503` inline and drop. The
         /// just-accepted socket is still blocking, so the write needs no
         /// registration — it either lands in the socket buffer or the
-        /// write timeout gives up.
+        /// timeout gives up.
         fn shed(&self, mut stream: TcpStream) {
             let metrics = self.handler.metrics();
             metrics.rejected_total.inc();
             metrics.conn_closed.inc("shed");
-            let _ = stream.set_write_timeout(Some(self.write_timeout));
+            let _ = stream.set_write_timeout(Some(self.timeout));
             let body = error_json("server overloaded");
             let _ = write_response(&mut stream, 503, reason(503), "application/json", &body, false);
         }
@@ -452,21 +450,17 @@ mod imp {
             }
         }
 
-        /// Closes connections that stalled: readers idle past the read
-        /// timeout get nothing (the slowloris contract — no response
-        /// bytes, just a close), writers stuck past the write timeout are
-        /// abandoned.
+        /// Closes connections that stalled past the timeout: idle readers
+        /// get nothing (the slowloris contract — no response bytes, just a
+        /// close), and stuck writers are abandoned.
         fn sweep_timeouts(&mut self) {
             let now = Instant::now();
             let mut expired: Vec<(u64, &'static str)> = Vec::new();
             for (token, conn) in &self.conns {
                 let idle = now.duration_since(conn.last_activity);
-                if conn.out_pos < conn.outbuf.len() {
-                    if idle > self.write_timeout {
-                        expired.push((*token, "write_failed"));
-                    }
-                } else if idle > self.read_timeout {
-                    expired.push((*token, "timeout"));
+                if idle > self.timeout {
+                    let stalled_write = conn.out_pos < conn.outbuf.len();
+                    expired.push((*token, if stalled_write { "write_failed" } else { "timeout" }));
                 }
             }
             for (token, cause) in expired {

@@ -17,7 +17,7 @@ use std::io::{Read, Write};
 use cp_net::HeaderMap;
 
 /// Size caps enforced while reading a message.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Limits {
     /// Maximum bytes of request line + headers.
     pub max_head_bytes: usize,

@@ -26,7 +26,7 @@ use crate::http::{append_request, write_request, HttpConn, HttpError, HttpRespon
 use crate::metrics::{quantile_from_buckets, scrape_counter, scrape_histogram};
 
 /// Load-generator parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenConfig {
     /// Server host.
     pub host: String,

@@ -26,7 +26,7 @@
 //! The router serves on the node's event loop: `workers` shards, plus the
 //! one heartbeat thread. Connection placement, the `workers + 128`
 //! admission cap with its `503 {"error":"server overloaded"}` answer, the
-//! 5 s read and write timeouts, parse errors, close causes and the loop's
+//! 5 s connection timeout, parse errors, close causes and the loop's
 //! metrics are the node's own. Each shard keeps one keep-alive client per
 //! backend it has proxied to, and a proxied request holds its shard for
 //! one upstream round trip.
@@ -97,7 +97,7 @@ fn split_host_port(addr: &str) -> Option<(&str, u16)> {
 }
 
 /// Router construction parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Interface to bind.
     pub host: String,
@@ -706,8 +706,7 @@ mod tests {
             start(ServeConfig {
                 workers: 2,
                 repl_port: Some(0),
-                read_timeout: Duration::from_millis(2_000),
-                write_timeout: Duration::from_millis(2_000),
+                timeout: Duration::from_millis(2_000),
                 ..ServeConfig::default()
             })
             .unwrap()

@@ -5,7 +5,7 @@ fn main() {
     let command = match cookiepicker::cli::parse_args(args) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", cookiepicker::cli::USAGE);
+            eprintln!("error: {e}\n\n{}", cookiepicker::cli::usage());
             std::process::exit(2);
         }
     };

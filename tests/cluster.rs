@@ -27,13 +27,8 @@ use cookiepicker::serve::{start, ChaosProxy, Phase, ServeConfig, ServerHandle};
 use cp_runtime::json::Json;
 
 fn node(config: ServeConfig) -> ServerHandle {
-    start(ServeConfig {
-        workers: 2,
-        read_timeout: Duration::from_millis(2_000),
-        write_timeout: Duration::from_millis(2_000),
-        ..config
-    })
-    .expect("bind port 0")
+    start(ServeConfig { workers: 2, timeout: Duration::from_millis(2_000), ..config })
+        .expect("bind port 0")
 }
 
 fn get(port: u16, target: &str) -> String {

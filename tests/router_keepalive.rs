@@ -27,7 +27,7 @@ fn post(addr: SocketAddr, target: &str, body: &[u8]) -> HttpResponse {
 fn post_after_the_backend_closed_an_idle_keep_alive_is_proxied() {
     let node = start(ServeConfig {
         repl_port: Some(0),
-        read_timeout: Duration::from_millis(300),
+        timeout: Duration::from_millis(300),
         ..ServeConfig::default()
     })
     .expect("start node");

@@ -10,13 +10,8 @@ use cookiepicker::serve::{start, ServeConfig, ServerHandle};
 use cp_runtime::json::{FromJson, Json};
 
 fn test_server() -> ServerHandle {
-    start(ServeConfig {
-        workers: 2,
-        read_timeout: Duration::from_secs(2),
-        write_timeout: Duration::from_secs(2),
-        ..ServeConfig::default()
-    })
-    .expect("bind port 0")
+    start(ServeConfig { workers: 2, timeout: Duration::from_secs(2), ..ServeConfig::default() })
+        .expect("bind port 0")
 }
 
 fn connect(server: &ServerHandle) -> HttpConn<TcpStream> {
@@ -158,8 +153,7 @@ fn durable_restart_replays_zero_records_and_keeps_marks() {
     let config = || ServeConfig {
         workers: 2,
         data_dir: Some(dir.clone()),
-        read_timeout: Duration::from_secs(2),
-        write_timeout: Duration::from_secs(2),
+        timeout: Duration::from_secs(2),
         ..ServeConfig::default()
     };
     let mut server = start(config()).expect("bind durable server");
@@ -214,8 +208,7 @@ fn sites_listing_paginates_the_whole_world_exactly_once() {
     let server = start(ServeConfig {
         workers: 2,
         world: cookiepicker::serve::WorldKind::Uniform(137),
-        read_timeout: Duration::from_secs(2),
-        write_timeout: Duration::from_secs(2),
+        timeout: Duration::from_secs(2),
         ..ServeConfig::default()
     })
     .expect("bind uniform world");
@@ -291,8 +284,7 @@ fn full_queue_sheds_load_with_503() {
     let server = start(ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        read_timeout: Duration::from_millis(500),
-        write_timeout: Duration::from_millis(500),
+        timeout: Duration::from_millis(500),
         ..ServeConfig::default()
     })
     .unwrap();
@@ -328,8 +320,7 @@ fn await_close_cause(server: &ServerHandle, cause: &str, want: u64) {
 fn slowloris_stall_hits_read_timeout_and_closes_clean() {
     let server = start(ServeConfig {
         workers: 2,
-        read_timeout: Duration::from_millis(300),
-        write_timeout: Duration::from_millis(300),
+        timeout: Duration::from_millis(300),
         ..ServeConfig::default()
     })
     .unwrap();
@@ -353,8 +344,7 @@ fn slowloris_stall_hits_read_timeout_and_closes_clean() {
 fn truncated_body_stall_times_out_and_is_accounted() {
     let server = start(ServeConfig {
         workers: 2,
-        read_timeout: Duration::from_millis(300),
-        write_timeout: Duration::from_millis(300),
+        timeout: Duration::from_millis(300),
         ..ServeConfig::default()
     })
     .unwrap();
@@ -391,8 +381,7 @@ fn close_cause_metrics_cover_clean_and_shed_paths() {
     let server = start(ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        read_timeout: Duration::from_millis(500),
-        write_timeout: Duration::from_millis(500),
+        timeout: Duration::from_millis(500),
         ..ServeConfig::default()
     })
     .unwrap();
@@ -423,8 +412,7 @@ fn wide_classify(siblings: usize) -> Vec<u8> {
 fn connections_opened_one_after_another_are_served_in_parallel() {
     let server = start(ServeConfig {
         workers: 4,
-        read_timeout: Duration::from_secs(10),
-        write_timeout: Duration::from_secs(10),
+        timeout: Duration::from_secs(10),
         ..ServeConfig::default()
     })
     .unwrap();
