@@ -112,12 +112,6 @@ impl Browser {
         self.clock
     }
 
-    /// Sets the simulated clock (for experiments that need a specific
-    /// start instant).
-    pub fn set_clock(&mut self, t: SimTime) {
-        self.clock = t;
-    }
-
     /// The network this browser is attached to.
     pub fn network(&self) -> &SimNetwork {
         &self.network

@@ -44,11 +44,6 @@ impl<'a> DomTreeView<'a> {
         DomTreeView { doc, root: Some(NodeId::DOCUMENT) }
     }
 
-    /// Views an arbitrary subtree.
-    pub fn from_node(doc: &'a Document, root: NodeId) -> Self {
-        DomTreeView { doc, root: Some(root) }
-    }
-
     /// The underlying document.
     pub fn document(&self) -> &'a Document {
         self.doc

@@ -193,11 +193,6 @@ impl Document {
         matches!(self.data(id), NodeData::Element { .. })
     }
 
-    /// Whether the node is a text node.
-    pub fn is_text(&self, id: NodeId) -> bool {
-        matches!(self.data(id), NodeData::Text(_))
-    }
-
     /// The element's tag name, or `None` for non-elements.
     pub fn tag_name(&self, id: NodeId) -> Option<&str> {
         match self.data(id) {

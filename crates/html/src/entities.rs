@@ -192,25 +192,6 @@ pub fn escape_text(input: &str) -> String {
     out
 }
 
-/// Escapes attribute values for double-quoted serialization.
-///
-/// ```
-/// use cp_html::entities::escape_attr;
-/// assert_eq!(escape_attr("say \"hi\" & go"), "say &quot;hi&quot; &amp; go");
-/// ```
-pub fn escape_attr(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    for c in input.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '"' => out.push_str("&quot;"),
-            '<' => out.push_str("&lt;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +238,6 @@ mod tests {
     fn escape_round_trip() {
         let original = "a < b > c & \"d\"";
         assert_eq!(decode_entities(&escape_text(original)), original);
-        assert_eq!(decode_entities(&escape_attr(original)), original);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! * [`visibility`] — the paper's *visual effect* classification: which nodes
 //!   can influence what a user perceives (comments, scripts, `<head>`
 //!   content, `display:none` subtrees do not).
-//! * [`serialize`](serialize::serialize) — DOM back to HTML text.
 //! * [`entities`] — named/numeric character reference decoding and escaping.
 //!
 //! # Example
@@ -42,16 +41,12 @@
 pub mod dom;
 pub mod entities;
 pub mod parser;
-pub mod select;
-pub mod serialize;
 pub mod text;
 pub mod tokenizer;
 pub mod visibility;
 
 pub use dom::{Document, NodeData, NodeId};
 pub use parser::{build_tree, parse_document, TreeSink};
-pub use select::{select, select_first, Selector};
-pub use serialize::serialize;
 pub use text::inner_text;
 pub use tokenizer::{tokenize, AttrView, Attribute, TextSpan, Token, Tokenizer};
 pub use visibility::{element_visible, is_invisible_element_name, is_node_visible};

@@ -1,7 +1,7 @@
 //! Parser corpus tests: structure assertions over a gallery of real-world
 //! HTML patterns (and pathologies) of the 2007-era Web.
 
-use cp_html::{inner_text, parse_document, select, serialize, NodeId};
+use cp_html::{inner_text, parse_document, NodeId};
 
 fn tags(html: &str) -> Vec<String> {
     let doc = parse_document(html);
@@ -24,7 +24,10 @@ fn classic_table_layout_page() {
     );
     assert_eq!(doc.find_all(NodeId::DOCUMENT, "table").len(), 2);
     assert_eq!(doc.find_all(NodeId::DOCUMENT, "tr").len(), 4);
-    assert_eq!(select(&doc, "table table a").unwrap().len(), 2);
+    // Both links sit in the navigation table nested inside the layout table.
+    let tables = doc.find_all(NodeId::DOCUMENT, "table");
+    assert_eq!(doc.find_all(tables[0], "table"), tables);
+    assert_eq!(doc.find_all(tables[1], "a").len(), 2);
     let body = doc.body().unwrap();
     assert!(inner_text(&doc, body).contains("Welcome"));
 }
@@ -120,7 +123,8 @@ fn forms_with_all_control_types() {
     assert_eq!(doc.find_all(NodeId::DOCUMENT, "option").len(), 2);
     let ta = doc.find_element(NodeId::DOCUMENT, "textarea").unwrap();
     assert_eq!(doc.text_content(ta), "initial <not a tag>");
-    assert_eq!(select(&doc, "input[type=hidden]").unwrap().len(), 1);
+    let inputs = doc.find_all(NodeId::DOCUMENT, "input");
+    assert_eq!(inputs.iter().filter(|&&n| doc.attr(n, "type") == Some("hidden")).count(), 1);
 }
 
 #[test]
@@ -172,9 +176,6 @@ fn unclosed_everything_still_structured() {
     assert_eq!(doc.find_all(NodeId::DOCUMENT, "div").len(), 2);
     assert_eq!(doc.find_all(NodeId::DOCUMENT, "p").len(), 2);
     assert_eq!(doc.find_all(NodeId::DOCUMENT, "td").len(), 1);
-    // Serialization closes everything.
-    let out = serialize(&doc, NodeId::DOCUMENT);
-    assert!(out.ends_with("</html>"));
 }
 
 #[test]

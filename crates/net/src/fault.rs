@@ -143,11 +143,6 @@ impl FaultPlan {
         FaultPlan::new(seed).with_default(FaultRates::uniform(rate))
     }
 
-    /// A plan faulting only the hidden request class, at a uniform rate.
-    pub fn hidden_only(seed: u64, rate: f64) -> FaultPlan {
-        FaultPlan::new(seed).with_hidden(FaultRates::uniform(rate))
-    }
-
     /// Sets the default rates for all traffic.
     pub fn with_default(mut self, rates: FaultRates) -> FaultPlan {
         self.default = rates;
@@ -198,11 +193,6 @@ impl FaultInjector {
     /// Wraps a plan for execution.
     pub fn new(plan: FaultPlan) -> FaultInjector {
         FaultInjector { plan, seq: Mutex::new(HashMap::new()) }
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Draws the fault (if any) for the next request to `host`/`path`.

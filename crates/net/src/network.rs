@@ -219,16 +219,6 @@ impl SimNetwork {
         self.fault = Some(FaultInjector::new(plan));
     }
 
-    /// Removes any installed fault plan.
-    pub fn clear_fault_plan(&mut self) {
-        self.fault = None;
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(FaultInjector::plan)
-    }
-
     /// Turns on per-request logging (off by default; the log grows without
     /// bound while enabled).
     pub fn enable_request_log(&mut self) {
@@ -256,16 +246,6 @@ impl SimNetwork {
             host.into().to_ascii_lowercase(),
             HostEntry { server: Arc::new(server), latency },
         );
-    }
-
-    /// Registers an already-shared server.
-    pub fn register_shared(
-        &mut self,
-        host: impl Into<String>,
-        server: Arc<dyn Server>,
-        latency: LatencyModel,
-    ) {
-        self.hosts.insert(host.into().to_ascii_lowercase(), HostEntry { server, latency });
     }
 
     /// Hosts currently registered.

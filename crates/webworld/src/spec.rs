@@ -139,12 +139,6 @@ impl CookieSpec {
         self
     }
 
-    /// Builder-style: overrides the lifetime.
-    pub fn with_lifetime(mut self, lifetime: Option<SimDuration>) -> Self {
-        self.lifetime = lifetime;
-        self
-    }
-
     /// Whether this spec describes a persistent cookie.
     pub fn is_persistent(&self) -> bool {
         self.lifetime.is_some()
