@@ -681,6 +681,13 @@ mod tests {
             "<p><table><p>inner</table>after",
             "<<<<",
             "<html><html><body><body>",
+            // Multi-byte characters inside markup; the first once failed.
+            "<!\u{31ef}",
+            "<\u{31ef}",
+            "</\u{31ef}",
+            "&\u{31ef};",
+            "<a \u{31ef}=\u{31ef}>",
+            "<!--\u{31ef}",
         ] {
             let doc = parse_document(garbage);
             assert!(doc.body().is_some(), "body must exist for {garbage:?}");
